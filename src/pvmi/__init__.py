@@ -26,7 +26,6 @@ from .features import (
     N_FEATURES,
     WINDOW_HOURS,
     SupervisedDataset,
-    build_test_input,
     build_training,
 )
 from .imputation import (
@@ -34,7 +33,6 @@ from .imputation import (
     ConditionalSampler,
     complete_series,
     fit_sampler,
-    mean_power,
     neighbors,
     sample_power,
     select_k,
@@ -62,7 +60,6 @@ from .models import (
     RegressorSpec,
     fit,
     load_model,
-    predict,
     residual_variance,
     save_model,
     tune_chronological,
@@ -99,7 +96,6 @@ __all__ = [
     "SupervisedDataset",
     "SynthSpec",
     "WINDOW_HOURS",
-    "build_test_input",
     "build_training",
     "complete_series",
     "coverage",
@@ -113,14 +109,12 @@ __all__ = [
     "inject_missing",
     "inverse_normal_cdf",
     "load_model",
-    "mean_power",
     "missing_fraction",
     "neighbors",
     "normal_cdf",
     "normal_interval",
     "nrmse",
     "parse_csv",
-    "predict",
     "regularized_gamma_p",
     "residual_variance",
     "rubin_pool",

@@ -35,21 +35,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models
+from . import __version__, models
 from .errors import ExperimentError
-from .features import WINDOW_HOURS
+from .features import WINDOW_HOURS, build_training
+from .imputation import ConditionalSampler, complete_series, fit_sampler
 from .intervals import PredictionInterval, gamma_interval, normal_interval
-from .metrics import coverage as coverage_metric
-from .metrics import nrmse as nrmse_metric
+from .metrics import evaluate
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
 from .pipeline import run_pipeline
-from .imputation import fit_sampler
 from .series import HourlySeries, parse_csv, split_chronological
 from .synth import SynthSpec, generate
 
 SCHEMA_VERSION = 1
 INTERVAL_FAMILIES = ("normal", "gamma")
-_PKG_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -219,13 +217,12 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
         test, test_truth = inject_missing(test, config.test_missing)
 
     sampler = fit_sampler(train, k=config.sampler_k)
-    resolved_specs, tuned_flags = _resolve_models(config, train, sampler.k)
+    resolved_specs, tuned_flags = _resolve_models(config, train, sampler)
 
     truth_restored = test_truth.restore(test) if test_truth is not None else test
 
     labels = model_labels(config)
     pipeline_cache: dict[str, list] = {}
-    pipeline_seeds: dict[str, int] = {}
     summary_cells: list[dict] = []
     manifest_cells: list[dict] = []
     failures: list[str] = []
@@ -250,25 +247,21 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
                     seed=seed,
                     sampler_k=sampler.k,
                 )
-                pipeline_seeds[cell.pipeline_id] = seed
             pooled = pipeline_cache[cell.pipeline_id]
             intervals = _cell_intervals(pooled, cell.interval_family, config)
-            means = [p.mean for p in pooled]
-            cov = coverage_metric(intervals, test)
-            err = nrmse_metric(means, test)
-            n_eval = int(np.sum(~test.mask[WINDOW_HOURS:]))
+            scores = evaluate(intervals, [p.mean for p in pooled], test, config.alpha)
             width = float(np.mean([iv.width() for iv in intervals]))
             csv_name = f"cells/cell_{cell.cell_id}.csv"
             _write_cell_csv(out / csv_name, pooled, intervals, test, truth_restored)
             record.update(
                 status="ok",
-                coverage=_round(cov),
-                nrmse=_round(err),
-                n_evaluated=n_eval,
+                coverage=_round(scores.coverage),
+                nrmse=_round(scores.nrmse),
+                n_evaluated=scores.n_evaluated,
                 mean_width=_round(width),
             )
             manifest_cells.append(
-                {"id": cell.cell_id, "file": csv_name, "seed": pipeline_seeds[cell.pipeline_id], **{
+                {"id": cell.cell_id, "file": csv_name, "seed": seed, **{
                     k: record[k] for k in ("setup", "model", "n_rounds", "interval_family")
                 }}
             )
@@ -284,7 +277,7 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     }
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "package_version": _PKG_VERSION,
+        "package_version": __version__,
         "master_seed": config.master_seed,
         "sampler_k": sampler.k,
         "test_len": config.test_len,
@@ -358,12 +351,10 @@ def _load_data(config: ExperimentConfig) -> HourlySeries:
     return generate(config.data_synth)
 
 
-def _resolve_models(config: ExperimentConfig, train: HourlySeries, sampler_k: int):
+def _resolve_models(config: ExperimentConfig, train: HourlySeries,
+                    sampler: ConditionalSampler):
     """Turn every ModelConfig into a concrete RegressorSpec, tuning on the
     deterministically completed training data where requested."""
-    from .features import build_training
-    from .imputation import complete_series
-
     specs: list[models.RegressorSpec] = []
     tuned: list[bool] = []
     train_ds = None
@@ -373,7 +364,6 @@ def _resolve_models(config: ExperimentConfig, train: HourlySeries, sampler_k: in
             tuned.append(False)
             continue
         if train_ds is None:
-            sampler = fit_sampler(train, k=sampler_k)
             train_ds = build_training(complete_series(train, sampler, "single"))
         if mc.grid is not None:
             grid = list(mc.grid)

@@ -78,19 +78,3 @@ def build_training(series: HourlySeries) -> SupervisedDataset:
     idx = np.arange(WINDOW_HOURS - 1, t_total - 1)
     return SupervisedDataset(inputs=x, targets=y, time_index=idx)
 
-
-def build_test_input(series: HourlySeries, t: int) -> np.ndarray:
-    """The 48-entry input vector for hour ``t`` (0-based) of a fully
-    observed series. Valid for ``23 <= t <= T-2``."""
-    if series.mask.any():
-        raise IncompleteDataError("impute before building inputs")
-    t = int(t)
-    if not WINDOW_HOURS - 1 <= t <= len(series) - 2:
-        raise ValueError(
-            f"t must lie in [{WINDOW_HOURS - 1}, {len(series) - 2}], got {t}"
-        )
-    x = np.empty(N_FEATURES)
-    for lag in range(WINDOW_HOURS):
-        x[2 * lag] = series.power[t - lag]
-        x[2 * lag + 1] = series.irradiance[t - lag]
-    return x

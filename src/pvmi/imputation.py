@@ -90,25 +90,26 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
     return ConditionalSampler(irr, pw, k)
 
 
-def neighbors(sampler: ConditionalSampler, irradiance: float) -> np.ndarray:
-    """Indices of the k pairs with smallest ``|irradiance_i - irradiance|``.
+def neighbors(sampler: ConditionalSampler, queries) -> np.ndarray:
+    """(m, k) indices of the k pairs nearest to each of m irradiance queries.
 
-    Distance ties are broken in favour of the smaller index. The result is
-    returned in ascending index order.
+    Row ``j`` holds the k pairs with smallest ``|irradiance_i - queries[j]|``,
+    distance ties broken in favour of the smaller index, in ascending index
+    order.
     """
-    return _neighbor_matrix(sampler, np.array([float(irradiance)]))[0]
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 1:
+        raise ValueError("queries must be a 1-D array of irradiances")
+    out = np.empty((queries.size, sampler.k), dtype=np.int64)
+    for lo, hi, order in _nearest_pairs(sampler.irradiance, queries, sampler.k):
+        out[lo:hi] = np.sort(order, axis=1)
+    return out
 
 
 def sample_power(sampler: ConditionalSampler, irradiance: float, rng: np.random.Generator) -> float:
     """One draw from the estimated conditional distribution: each of the k
     neighbours' powers has probability 1/k."""
-    idx = neighbors(sampler, irradiance)
-    return float(sampler.power[idx[rng.integers(0, idx.size)]])
-
-
-def mean_power(sampler: ConditionalSampler, irradiance: float) -> float:
-    """Mean of the estimated conditional distribution (point imputation)."""
-    return float(sampler.power[neighbors(sampler, irradiance)].mean())
+    return float(sampler.power[neighbors(sampler, [irradiance])[0, rng.integers(0, sampler.k)]])
 
 
 def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
@@ -129,13 +130,8 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     if any(g < 1 or g > n - 1 for g in grid):
         raise ValueError(f"grid values must lie in [1, {n - 1}]")
 
-    kmax = max(grid)
     sse = {g: 0.0 for g in grid}
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        d = np.abs(irr[None, :] - irr[lo:hi, None])
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # hold each pair out
-        order = np.argsort(d, axis=1, kind="stable")[:, :kmax]
+    for lo, hi, order in _nearest_pairs(irr, irr, max(grid), hold_out=True):
         csum = np.cumsum(pw[order], axis=1)
         for g in grid:
             pred = csum[:, g - 1] / g
@@ -165,7 +161,7 @@ def complete_series(
     missing = np.flatnonzero(series.mask)
     power = series.power.copy()
     if missing.size:
-        nm = _neighbor_matrix(sampler, series.irradiance[missing])
+        nm = neighbors(sampler, series.irradiance[missing])
         if mode == "single":
             power[missing] = sampler.power[nm].mean(axis=1)
         else:
@@ -181,17 +177,15 @@ def complete_series(
     )
 
 
-def _neighbor_matrix(sampler: ConditionalSampler, queries: np.ndarray) -> np.ndarray:
-    """(m, k) neighbour indices for a batch of irradiance queries.
-
-    Row order matches ``queries``; each row is in ascending index order and
-    respects the smallest-index tie rule (stable sort on distance).
-    """
-    irr = sampler.irradiance
-    k = sampler.k
-    out = np.empty((queries.size, k), dtype=np.int64)
+def _nearest_pairs(irradiance: np.ndarray, queries: np.ndarray, kmax: int,
+                   hold_out: bool = False):
+    """Yield ``(lo, hi, order)`` per chunk of queries: ``order[j]`` lists the
+    ``kmax`` pairs nearest to ``queries[lo + j]``, nearest first, distance
+    ties to the smaller index (stable sort). ``hold_out`` excludes pair
+    ``lo + j`` from query ``lo + j``'s neighbours (queries are the pairs)."""
     for lo in range(0, queries.size, _CHUNK):
         hi = min(lo + _CHUNK, queries.size)
-        d = np.abs(irr[None, :] - queries[lo:hi, None])
-        out[lo:hi] = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
-    return out
+        d = np.abs(irradiance[None, :] - queries[lo:hi, None])
+        if hold_out:
+            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        yield lo, hi, np.argsort(d, axis=1, kind="stable")[:, :kmax]

@@ -14,10 +14,11 @@ input and standardizing it internally:
     two-hidden-layer ReLU network trained with full-batch Adam,
     hyperparameters: ``hidden``, ``learning_rate``, ``iterations``.
 
-``fit``/``predict``/``residual_variance`` are the family-independent entry
-points; ``tune_chronological`` picks hyperparameters on expanding-window
-splits; ``save_model``/``load_model`` round-trip a fitted model through a
-versioned JSON document.
+``fit``/``residual_variance`` are the family-independent entry points, and
+each fitted model's ``predict`` forecasts a batch of input rows;
+``tune_chronological`` picks hyperparameters on expanding-window splits;
+``save_model``/``load_model`` round-trip a fitted model through a versioned
+JSON document.
 
 ``residual_variance`` is the in-sample estimate. The pipeline takes it as the
 round variance for lasso and MLP, but not for kNN, whose in-sample residuals
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..features import N_FEATURES, SupervisedDataset
+from ..features import SupervisedDataset
 from .knn import KNNRegressor
 from .lasso import LassoRegressor, lambda_max
 from .mlp import MLPRegressor
@@ -64,7 +65,6 @@ __all__ = [
     "fit",
     "lambda_max",
     "load_model",
-    "predict",
     "residual_variance",
     "save_model",
     "tune_chronological",
@@ -111,16 +111,6 @@ def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
         iterations=int(hp.get("iterations", 1000)),
         seed=spec.seed,
     )
-
-
-def predict(model: TrainedModel, x: np.ndarray) -> float:
-    """Point forecast for a single 48-entry input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (N_FEATURES,):
-        raise ValueError(f"expected a ({N_FEATURES},) input vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("input vector contains non-finite entries")
-    return float(model.predict(x))
 
 
 def residual_variance(model: TrainedModel, data: SupervisedDataset) -> float:

@@ -52,19 +52,26 @@ def tune_chronological(family: str, data: SupervisedDataset, grid, folds: int = 
     if len(specs) == 1:
         return specs[0]
 
-    slices = expanding_window_folds(len(data), folds)
+    # (train view, validation inputs, validation targets) per fold; the
+    # dataset's arrays are read-only, so views need no copy
+    splits = [
+        (
+            SupervisedDataset(
+                inputs=data.inputs[:train_end],
+                targets=data.targets[:train_end],
+                time_index=data.time_index[:train_end],
+            ),
+            data.inputs[train_end:val_end],
+            data.targets[train_end:val_end],
+        )
+        for train_end, val_end in expanding_window_folds(len(data), folds)
+    ]
     scores = []
     for spec in specs:
-        fold_mse = []
-        for train_end, val_end in slices:
-            train = SupervisedDataset(
-                inputs=data.inputs[:train_end].copy(),
-                targets=data.targets[:train_end].copy(),
-                time_index=data.time_index[:train_end].copy(),
-            )
-            model = fit(spec, train)
-            pred = model.predict(data.inputs[train_end:val_end])
-            fold_mse.append(float(np.mean((pred - data.targets[train_end:val_end]) ** 2)))
+        fold_mse = [
+            float(np.mean((fit(spec, train).predict(val_x) - val_y) ** 2))
+            for train, val_x, val_y in splits
+        ]
         scores.append(sum(fold_mse) / len(fold_mse))
 
     best = 0

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import models
 from .features import SupervisedDataset, build_training
-from .imputation import ConditionalSampler, complete_series, fit_sampler
+from .imputation import complete_series, fit_sampler
 from .pooling import PooledPrediction, RoundPrediction, rubin_pool
 from .series import HourlySeries
 
@@ -130,8 +130,3 @@ def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> 
         return model.loo_residual_variance()
     return models.residual_variance(model, train_ds)
 
-
-def pipeline_sampler(train: HourlySeries, sampler_k: int | None = None) -> ConditionalSampler:
-    """The sampler `run_pipeline` would fit; exposed so callers can inspect
-    or pre-resolve the neighbourhood size."""
-    return fit_sampler(train, k=sampler_k)

@@ -7,7 +7,6 @@ from pvmi import (
     IncompleteDataError,
     InsufficientDataError,
     SupervisedDataset,
-    build_test_input,
     build_training,
 )
 from tests.conftest import make_series
@@ -60,34 +59,6 @@ def test_requires_complete_series():
 def test_too_short_series():
     with pytest.raises(InsufficientDataError):
         build_training(make_series(np.arange(24, dtype=float)))
-
-
-def test_single_test_input_matches_training_row(rng):
-    power = rng.uniform(0, 5, 80)
-    irr = rng.uniform(0, 1, 80)
-    s = make_series(power, irr)
-    data = build_training(s)
-    for t in (23, 40, 78):
-        x = build_test_input(s, t)
-        assert x.shape == (48,)
-        assert np.array_equal(x, data.inputs[t - 23])
-
-
-def test_test_input_bounds():
-    s = make_series(np.arange(50, dtype=float))
-    with pytest.raises(ValueError):
-        build_test_input(s, 22)
-    with pytest.raises(ValueError):
-        build_test_input(s, 49)
-    build_test_input(s, 23)
-    build_test_input(s, 48)
-
-
-def test_test_input_requires_observed_window():
-    p = np.arange(50, dtype=float)
-    p[30] = np.nan
-    with pytest.raises(IncompleteDataError):
-        build_test_input(make_series(p), 31)
 
 
 def test_dataset_arrays_read_only():

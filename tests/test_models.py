@@ -17,7 +17,6 @@ from pvmi.models import (
     fit,
     lambda_max,
     load_model,
-    predict,
     residual_variance,
     save_model,
     tune_chronological,
@@ -282,18 +281,6 @@ def test_fit_rejects_non_finite_data(rng):
     )
     with pytest.raises(DataError):
         fit(RegressorSpec("knn", {"k": 2}), bad)
-
-
-def test_predict_validates_input_vector(rng):
-    data = make_dataset(rng, 20)
-    model = fit(RegressorSpec("knn", {"k": 2}), data)
-    with pytest.raises(ValueError, match="48"):
-        predict(model, np.zeros(47))
-    bad = np.zeros(48)
-    bad[0] = np.inf
-    with pytest.raises(DataError):
-        predict(model, bad)
-    assert isinstance(predict(model, data.inputs[0]), float)
 
 
 def test_residual_variance_zero_for_exact_interpolator(rng):

@@ -11,13 +11,13 @@ from pvmi import (
     SynthSpec,
     build_training,
     fit,
+    fit_sampler,
     generate,
     inject_missing,
     residual_variance,
     run_pipeline,
     split_chronological,
 )
-from pvmi.pipeline import pipeline_sampler
 
 SPEC = RegressorSpec("knn", {"k": 3})
 
@@ -145,6 +145,6 @@ def test_round_variance_is_loo_for_knn_and_in_sample_for_lasso(complete_pair):
 
 def test_sampler_k_is_honoured(gappy_pair):
     train, _ = gappy_pair
-    assert pipeline_sampler(train, sampler_k=3).k == 3
-    auto = pipeline_sampler(train, sampler_k=None)
-    assert auto.k == pipeline_sampler(train).k
+    assert fit_sampler(train, k=3).k == 3
+    auto = fit_sampler(train, k=None)
+    assert auto.k == fit_sampler(train).k
