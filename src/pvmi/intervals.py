@@ -10,7 +10,8 @@ The quantile functions are implemented here rather than imported: the
 normal quantile uses a rational approximation polished by one Newton step
 against the erf-based CDF, and the gamma quantile inverts the regularized
 lower incomplete gamma function (power series below a+1, continued fraction
-above) with a bracketed bisection/Newton search.
+above) with a bracketed bisection/Newton search, and with bisection on log x
+for the tiny quantiles of tiny shapes, where that search stalls.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def _lower_quantile(p: float) -> float:
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 10_000
 _FPMIN = 1e-300
+_LOG_TINY = math.log(math.ulp(0.0))  # log of the smallest positive double
 
 
 def regularized_gamma_p(a: float, x: float) -> float:
@@ -138,7 +140,14 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
     """Inverse gamma CDF: the x with ``P(shape, x / scale) == p``.
 
     Solved by a bracketed Newton iteration with bisection fallback, run to
-    absolute tolerance 1e-8 on the CDF value.
+    absolute tolerance 1e-8 on the CDF value; if that does not converge, by
+    bisection on log x. A quantile below the smallest positive double comes
+    out as ``math.ulp(0.0)``.
+
+    Raises
+    ------
+    ArithmeticError
+        If neither search converges.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
@@ -185,7 +194,41 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
                 step_ok = True
         if not step_ok:
             x = 0.5 * (lo + hi)
-    return x * scale
+    return _gamma_quantile_log_bisection(p, a, scale, hi, tol)
+
+
+def _gamma_quantile_log_bisection(p: float, a: float, scale: float, hi: float,
+                                  tol: float) -> float:
+    """Bisection on log x, for a quantile many decades below its bracket
+    ``(0, hi]`` (tiny shapes), where the search on x above stalls.
+
+    ``P(a, x) <= x^a / Gamma(a + 1)``, the small-x expansion, so the x where
+    that bound equals ``p`` lies at or below the quantile and starts the
+    bracket. A quantile below the smallest positive double (in x or in
+    x * scale) is returned as ``math.ulp(0.0)``, not 0: the gamma law has no
+    mass at 0.
+    """
+    t_floor = _LOG_TINY + max(0.0, -math.log(scale))
+    t_lo = max((math.log(p) + math.lgamma(a + 1.0)) / a, t_floor)
+    t_hi = math.log(hi)
+    t = t_lo
+    for _ in range(200):
+        x = math.exp(t)
+        f = regularized_gamma_p(a, x) - p
+        if abs(f) <= tol:
+            return max(x * scale, math.ulp(0.0))
+        if f > 0.0:
+            if t == t_floor:
+                return math.ulp(0.0)
+            t_hi = t
+        elif f < 0.0:
+            t_lo = t
+        else:
+            break  # NaN
+        t = 0.5 * (t_lo + t_hi)
+        if t in (t_lo, t_hi):  # no double left inside the bracket
+            return math.exp(t_hi) * scale
+    raise ArithmeticError(f"gamma quantile search failed (p={p}, shape={a})")
 
 
 # --------------------------------------------------------------------------

@@ -97,6 +97,25 @@ def test_gamma_quantile_round_trips_through_cdf():
                 )
 
 
+def test_gamma_quantile_tiny_shape_round_trips():
+    # about 1.6e-78: the search on x stalls this far below its bracket
+    shape, scale = 0.020564031271011876, 2.2767103658961445
+    x = gamma_quantile(0.025, shape, scale)
+    assert regularized_gamma_p(shape, x / scale) == pytest.approx(0.025, abs=1e-8)
+    assert x == pytest.approx(scale * special.gammaincinv(shape, 0.025), rel=1e-6)
+
+
+def test_gamma_interval_tiny_shape_is_ordered():
+    # shape 1.7e-4: the 97.5% quantile is near 7e-64 and the 2.5% quantile
+    # lies below the smallest positive double
+    mean, variance = 0.003264010934386737, 0.0621716544700807
+    iv = gamma_interval(mean, variance, 0.05)
+    shape, scale = gamma_shape_scale(mean, variance)
+    assert iv.lower == math.ulp(0.0) <= iv.upper
+    assert regularized_gamma_p(shape, iv.upper / scale) == pytest.approx(0.975, abs=1e-8)
+    assert iv.upper == pytest.approx(scale * special.gammaincinv(shape, 0.975), rel=1e-6)
+
+
 def test_gamma_quantile_exponential_median_is_log_two():
     assert gamma_quantile(0.5, 1.0, 1.0) == pytest.approx(math.log(2.0), abs=1e-7)
 
