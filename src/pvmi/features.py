@@ -77,4 +77,3 @@ def build_training(series: HourlySeries) -> SupervisedDataset:
     y = series.power[WINDOW_HOURS:].copy()
     idx = np.arange(WINDOW_HOURS - 1, t_total - 1)
     return SupervisedDataset(inputs=x, targets=y, time_index=idx)
-

@@ -216,7 +216,7 @@ def _gamma_quantile_log_bisection(p: float, a: float, scale: float, hi: float,
         x = math.exp(t)
         f = regularized_gamma_p(a, x) - p
         if abs(f) <= tol:
-            return max(x * scale, math.ulp(0.0))
+            return x * scale
         if f > 0.0:
             if t == t_floor:
                 return math.ulp(0.0)

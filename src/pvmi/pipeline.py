@@ -129,4 +129,3 @@ def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> 
     if isinstance(model, models.KNNRegressor):
         return model.loo_residual_variance()
     return models.residual_variance(model, train_ds)
-

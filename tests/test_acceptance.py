@@ -118,8 +118,8 @@ def test_criterion_2_calibration_without_missingness():
         f"coverage {cov:.4f} over {len(pooled)} hours, tuned {spec.hyperparameters}, "
         f"target [0.92, 0.97], {elapsed:.1f}s",
     ), (
-        f"coverage {cov:.4f} outside [0.92, 0.97]: in-sample residual variance "
-        f"underestimates the predictive spread at the tuned neighbourhood size"
+        f"coverage {cov:.4f} outside [0.92, 0.97]: the leave-one-out kNN residual "
+        f"variance misjudges the predictive spread at the tuned neighbourhood size"
     )
 
 
