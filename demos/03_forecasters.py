@@ -3,8 +3,6 @@
 Run:  python3 demos/03_forecasters.py
 """
 
-import numpy as np
-
 from pvmi import SynthSpec, generate, nrmse, split_chronological
 from pvmi.features import build_training
 from pvmi.models import (

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,7 @@ class ExperimentConfig:
         if not self.model_configs:
             raise ValueError("config must list at least one model")
         if not self.setups or any(s not in (1, 2, 3) for s in self.setups):
-            raise ValueError(f"setups must be a non-empty subset of (1, 2, 3)")
+            raise ValueError("setups must be a non-empty subset of (1, 2, 3)")
         if not self.n_rounds or any(b < 1 for b in self.n_rounds):
             raise ValueError("n_rounds must be positive")
         if not self.interval_families or any(
@@ -478,6 +478,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
             "family": mc.family,
             "hyperparameters": mc.hyperparameters,
             "tune": mc.tune,
+            "grid": None if mc.grid is None else [dict(g) for g in mc.grid],
             "folds": mc.folds,
             "seed": mc.seed,
         }

@@ -10,8 +10,8 @@ The quantile functions are implemented here rather than imported: the
 normal quantile uses a rational approximation polished by one Newton step
 against the erf-based CDF, and the gamma quantile inverts the regularized
 lower incomplete gamma function (power series below a+1, continued fraction
-above) with a bracketed bisection/Newton search, and with bisection on log x
-for the tiny quantiles of tiny shapes, where that search stalls.
+above) by Newton's method on log x, safeguarded by bisection inside a
+bracket that two closed-form bounds give.
 """
 
 from __future__ import annotations
@@ -139,15 +139,18 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 def gamma_quantile(p: float, shape: float, scale: float) -> float:
     """Inverse gamma CDF: the x with ``P(shape, x / scale) == p``.
 
-    Solved by a bracketed Newton iteration with bisection fallback, run to
-    absolute tolerance 1e-8 on the CDF value; if that does not converge, by
-    bisection on log x. A quantile below the smallest positive double comes
-    out as ``math.ulp(0.0)``.
+    Solved by Newton's method on t = log x, run to absolute tolerance 1e-8
+    on the CDF value and safeguarded by bisection inside a bracket known in
+    closed form. ``P(a, x) <= x^a / Gamma(a + 1)`` puts the quantile at or
+    above the x where that bound equals ``p``; Cantelli's inequality (mean
+    and variance ``a``) puts it at or below ``a + sqrt(a * p / (1 - p))``.
+    A quantile below the smallest positive double (in x or in x * scale)
+    comes out as ``math.ulp(0.0)``, not 0: the gamma law has no mass at 0.
 
     Raises
     ------
     ArithmeticError
-        If neither search converges.
+        If the search does not converge.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
@@ -155,79 +158,35 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
         raise ValueError("shape and scale must be positive")
 
     a = shape
-    # Wilson-Hilferty starting point, then grow an enclosing bracket
+    lgamma_a = math.lgamma(a)
+    t_floor = _LOG_TINY + max(0.0, -math.log(scale))
+    t_lo = max((math.log(p) + math.lgamma(a + 1.0)) / a, t_floor)
+    t_hi = math.log(a + math.sqrt(a * p / (1.0 - p)))
+    # Wilson-Hilferty start, unless it falls outside the bracket
     z = inverse_normal_cdf(p)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
     x = a * g * g * g
-    if not math.isfinite(x) or x <= 0.0:
-        x = a * p  # crude but positive
-    lo, f_lo = 0.0, -p
-    hi = x
-    f_hi = regularized_gamma_p(a, hi) - p
-    grow = 0
-    while f_hi < 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = regularized_gamma_p(a, hi) - p
-        grow += 1
-        if grow > 600:
-            raise ArithmeticError("failed to bracket the gamma quantile")
-
-    x = min(max(x, lo), hi)
-    if x in (lo, hi):
-        x = 0.5 * (lo + hi)
+    t = math.log(x) if x > 0.0 else math.nan
+    if not t_lo < t < t_hi:
+        t = 0.5 * (t_lo + t_hi)
     tol = 1e-8
-    for _ in range(200):
-        f = regularized_gamma_p(a, x) - p
-        if abs(f) <= tol:
-            return x * scale
-        if f > 0.0:
-            hi, f_hi = x, f
-        else:
-            lo, f_lo = x, f
-        pdf = math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a)) if x > 0 else 0.0
-        step_ok = False
-        if pdf > 0.0 and math.isfinite(pdf):
-            x_new = x - f / pdf
-            if lo < x_new < hi:
-                x = x_new
-                step_ok = True
-        if not step_ok:
-            x = 0.5 * (lo + hi)
-    return _gamma_quantile_log_bisection(p, a, scale, hi, tol)
-
-
-def _gamma_quantile_log_bisection(p: float, a: float, scale: float, hi: float,
-                                  tol: float) -> float:
-    """Bisection on log x, for a quantile many decades below its bracket
-    ``(0, hi]`` (tiny shapes), where the search on x above stalls.
-
-    ``P(a, x) <= x^a / Gamma(a + 1)``, the small-x expansion, so the x where
-    that bound equals ``p`` lies at or below the quantile and starts the
-    bracket. A quantile below the smallest positive double (in x or in
-    x * scale) is returned as ``math.ulp(0.0)``, not 0: the gamma law has no
-    mass at 0.
-    """
-    t_floor = _LOG_TINY + max(0.0, -math.log(scale))
-    t_lo = max((math.log(p) + math.lgamma(a + 1.0)) / a, t_floor)
-    t_hi = math.log(hi)
-    t = t_lo
     for _ in range(200):
         x = math.exp(t)
         f = regularized_gamma_p(a, x) - p
         if abs(f) <= tol:
             return x * scale
         if f > 0.0:
-            if t == t_floor:
-                return math.ulp(0.0)
             t_hi = t
         elif f < 0.0:
             t_lo = t
         else:
             break  # NaN
-        t = 0.5 * (t_lo + t_hi)
-        if t in (t_lo, t_hi):  # no double left inside the bracket
-            return math.exp(t_hi) * scale
+        dp_dt = math.exp(a * t - x - lgamma_a)  # x * pdf(x)
+        t = t - f / dp_dt if dp_dt > 0.0 else math.nan
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+            if t in (t_lo, t_hi):  # no double left inside the bracket
+                return math.ulp(0.0) if t_lo == t_floor else math.exp(t_hi) * scale
     raise ArithmeticError(f"gamma quantile search failed (p={p}, shape={a})")
 
 

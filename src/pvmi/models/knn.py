@@ -41,9 +41,7 @@ class KNNRegressor:
         scaler = FeatureScaler.fit(inputs)
         return cls(scaler, scaler.transform(inputs), targets.copy(), k)
 
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
+    def predict(self, x: np.ndarray) -> np.ndarray:
         q = self.scaler.transform(np.atleast_2d(x))
         out = np.empty(q.shape[0])
         for lo, hi, d2 in self._distance_chunks(q):
@@ -52,7 +50,7 @@ class KNNRegressor:
             else:
                 idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
             out[lo:hi] = self._y[idx].mean(axis=1)
-        return float(out[0]) if single else out
+        return out
 
     def loo_residual_variance(self) -> float:
         """Mean squared leave-one-out residual over the training rows.

@@ -71,12 +71,8 @@ class LassoRegressor:
                 break
         return cls(scaler, coef, y_mean, lam, converged, sweep)
 
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xs = self.scaler.transform(np.atleast_2d(x))
-        out = xs @ self.coef_ + self.intercept_
-        return float(out[0]) if single else out
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.scaler.transform(np.atleast_2d(x)) @ self.coef_ + self.intercept_
 
     def kkt_violation(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Largest stationarity residual at the fitted coefficients.

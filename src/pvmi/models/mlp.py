@@ -113,11 +113,8 @@ class MLPRegressor:
                 params[key] = params[key] - learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         return cls(scaler, params, y_mean, hidden)
 
-    def predict(self, x: np.ndarray) -> np.ndarray | float:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        out = forward(self.params, self.scaler.transform(np.atleast_2d(x))) + self.target_mean
-        return float(out[0]) if single else out
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return forward(self.params, self.scaler.transform(np.atleast_2d(x))) + self.target_mean
 
     def to_json(self) -> dict:
         return {

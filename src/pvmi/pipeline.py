@@ -109,7 +109,7 @@ def run_pipeline(
         test_mode = "single" if setup == 1 else "stochastic"
         test_b = complete_series(test, sampler, test_mode, rng)
         test_ds = build_training(test_b)
-        round_means.append(np.asarray(model_b.predict(test_ds.inputs)))
+        round_means.append(model_b.predict(test_ds.inputs))
         round_vars.append(float(var_b))
 
     means = np.stack(round_means)  # (B, n_hours)

@@ -341,6 +341,16 @@ def test_cli_run_seed_override_lands_in_manifest(tmp_path):
     assert manifest["config"]["master_seed"] == 77
 
 
+def test_manifest_echoes_each_models_grid(tmp_path):
+    tuned = ModelConfig("knn", tune=True, grid=({"k": 1}, {"k": 3}), folds=2)
+    config = small_config(model_configs=(KNN2, tuned), setups=(1,),
+                          interval_families=("normal",))
+    run(config, tmp_path)
+    echo = json.loads((tmp_path / "manifest.json").read_text())["config"]["models"]
+    assert [m["grid"] for m in echo] == [None, [{"k": 1}, {"k": 3}]]
+    assert tuple(ModelConfig(**m) for m in echo) == config.model_configs
+
+
 def test_cli_rejects_missing_required_arguments():
     with pytest.raises(SystemExit) as exc:
         main(["synth"])  # --out is required

@@ -1,11 +1,15 @@
 """Normal/gamma quantile kernels and the prediction intervals built on them."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
+import pvmi.intervals
 from pvmi import (
     PredictionInterval,
     gamma_interval,
@@ -98,11 +102,37 @@ def test_gamma_quantile_round_trips_through_cdf():
 
 
 def test_gamma_quantile_tiny_shape_round_trips():
-    # about 1.6e-78: the search on x stalls this far below its bracket
+    # about 1.6e-78, 76 decades below the mean: the tiny-shape regime
     shape, scale = 0.020564031271011876, 2.2767103658961445
     x = gamma_quantile(0.025, shape, scale)
     assert regularized_gamma_p(shape, x / scale) == pytest.approx(0.025, abs=1e-8)
     assert x == pytest.approx(scale * special.gammaincinv(shape, 0.025), rel=1e-6)
+
+
+def test_gamma_quantile_tiny_shape_needs_few_cdf_evaluations(monkeypatch):
+    calls = []
+
+    def counted(a, x):
+        calls.append(x)
+        return regularized_gamma_p(a, x)
+
+    monkeypatch.setattr(pvmi.intervals, "regularized_gamma_p", counted)
+    gamma_quantile(0.025, 0.020564031271011876, 2.2767103658961445)
+    assert len(calls) <= 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_shape=st.floats(math.log(1e-6), math.log(1e5)),
+    log_scale=st.floats(math.log(1e-4), math.log(1e4)),
+    p=st.floats(1e-6, 1.0 - 1e-6),
+)
+def test_gamma_quantile_round_trips_over_stress_ranges(log_shape, log_scale, p):
+    shape, scale = math.exp(log_shape), math.exp(log_scale)
+    x = gamma_quantile(p, shape, scale)
+    assert x > 0.0
+    if x >= sys.float_info.min:  # below it, doubles cannot resolve the CDF to 1e-8
+        assert regularized_gamma_p(shape, x / scale) == pytest.approx(p, abs=1e-8)
 
 
 def test_gamma_interval_tiny_shape_is_ordered():
