@@ -22,58 +22,21 @@ from .errors import (
     IncompleteDataError,
     InsufficientDataError,
 )
-from .features import (
-    N_FEATURES,
-    WINDOW_HOURS,
-    SupervisedDataset,
-    build_training,
-)
-from .imputation import (
-    DEFAULT_K_GRID,
-    ConditionalSampler,
-    complete_series,
-    fit_sampler,
-    neighbors,
-    sample_power,
-    select_k,
-)
-from .intervals import (
-    PredictionInterval,
-    gamma_interval,
-    gamma_quantile,
-    gamma_shape_scale,
-    inverse_normal_cdf,
-    normal_cdf,
-    normal_interval,
-    regularized_gamma_p,
-)
+from .features import WINDOW_HOURS, SupervisedDataset, build_training
+from .imputation import ConditionalSampler, complete_series, fit_sampler
+from .intervals import PredictionInterval, gamma_interval, normal_cdf, normal_interval
 from .metrics import EvalReport, coverage, evaluate, nrmse
-from .missingness import (
-    MODE_EXPLICIT,
-    MODE_FRACTION,
-    GroundTruth,
-    MissingSpec,
-    inject_missing,
-    missing_fraction,
-)
-from .models import (
-    RegressorSpec,
-    fit,
-    load_model,
-    residual_variance,
-    save_model,
-    tune_chronological,
-)
+from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
+from .models import RegressorSpec, fit, residual_variance, tune_chronological
 from .pipeline import run_pipeline
 from .pooling import PooledPrediction, RoundPrediction, rubin_pool
-from .series import HourlySeries, parse_csv, serialize_csv, split_chronological, write_csv
-from .synth import SynthSpec, generate, true_conditional_cdf
+from .series import HourlySeries, parse_csv, split_chronological, write_csv
+from .synth import SynthSpec, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConditionalSampler",
-    "DEFAULT_K_GRID",
     "DataError",
     "DegenerateNormalizationError",
     "DomainError",
@@ -85,10 +48,7 @@ __all__ = [
     "HourlySeries",
     "IncompleteDataError",
     "InsufficientDataError",
-    "MODE_EXPLICIT",
-    "MODE_FRACTION",
     "MissingSpec",
-    "N_FEATURES",
     "PooledPrediction",
     "PredictionInterval",
     "RegressorSpec",
@@ -103,28 +63,17 @@ __all__ = [
     "fit",
     "fit_sampler",
     "gamma_interval",
-    "gamma_quantile",
-    "gamma_shape_scale",
     "generate",
     "inject_missing",
-    "inverse_normal_cdf",
-    "load_model",
     "missing_fraction",
-    "neighbors",
     "normal_cdf",
     "normal_interval",
     "nrmse",
     "parse_csv",
-    "regularized_gamma_p",
     "residual_variance",
     "rubin_pool",
     "run_pipeline",
-    "sample_power",
-    "save_model",
-    "select_k",
-    "serialize_csv",
     "split_chronological",
-    "true_conditional_cdf",
     "tune_chronological",
     "write_csv",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,8 @@ class ModelConfig:
             object.__setattr__(self, "tune", True)
         if self.grid is not None:
             object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
+        for hp in (self.hyperparameters or {}, *(self.grid or ())):
+            models.RegressorSpec(self.family, hp)  # rejects unknown keys
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,12 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             f"unsupported schema_version {doc.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION}"
         )
+    known = ({f.name for f in fields(ExperimentConfig)}
+             - {"data_csv", "data_synth", "model_configs"}
+             | {"schema_version", "data", "models"})
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}")
     data = doc.get("data", {})
     synth = SynthSpec(**data["synth"]) if "synth" in data else None
     mspecs = {}
@@ -438,52 +446,13 @@ def _read_cell_csv(path: Path) -> list[dict]:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    doc: dict = {
-        "test_len": config.test_len,
-        "setups": list(config.setups),
-        "n_rounds": list(config.n_rounds),
-        "interval_families": list(config.interval_families),
-        "alpha": config.alpha,
-        "sampler_k": config.sampler_k,
-        "clip_normal_at_zero": config.clip_normal_at_zero,
-        "master_seed": config.master_seed,
-    }
-    if config.data_csv is not None:
-        doc["data"] = {"csv": config.data_csv}
-    else:
-        s = config.data_synth
-        doc["data"] = {
-            "synth": {
-                "days": s.days,
-                "peak_irradiance": s.peak_irradiance,
-                "efficiency": s.efficiency,
-                "noise_scale": s.noise_scale,
-                "seed": s.seed,
-            }
-        }
-    for part, spec in (("train_missing", config.train_missing),
-                       ("test_missing", config.test_missing)):
-        if spec is None:
-            doc[part] = None
-        else:
-            doc[part] = {
-                "mode": spec.mode,
-                "blocks": [list(b) for b in spec.blocks],
-                "target_fraction": spec.target_fraction,
-                "block_len_hours": spec.block_len_hours,
-                "seed": spec.seed,
-            }
-    doc["models"] = [
-        {
-            "family": mc.family,
-            "hyperparameters": mc.hyperparameters,
-            "tune": mc.tune,
-            "grid": None if mc.grid is None else [dict(g) for g in mc.grid],
-            "folds": mc.folds,
-            "seed": mc.seed,
-        }
-        for mc in config.model_configs
-    ]
+    """The config in its JSON layout, without ``schema_version`` and
+    ``output_dir``."""
+    doc = asdict(config)
+    csv, synth = doc.pop("data_csv"), doc.pop("data_synth")
+    doc["data"] = {"csv": csv} if csv is not None else {"synth": synth}
+    doc["models"] = doc.pop("model_configs")
+    del doc["output_dir"]
     return doc
 
 

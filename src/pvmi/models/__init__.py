@@ -9,16 +9,16 @@ input and standardizing it internally:
     exact leave-one-out residual variance.
 ``lasso``
     L1-penalized linear model fitted by cyclic coordinate descent,
-    hyperparameters: ``lam`` (penalty), optional ``tol``/``max_sweeps``.
+    hyperparameters: ``lam`` (penalty).
 ``mlp``
     two-hidden-layer ReLU network trained with full-batch Adam,
     hyperparameters: ``hidden``, ``learning_rate``, ``iterations``.
 
 ``fit``/``residual_variance`` are the family-independent entry points, and
 each fitted model's ``predict`` forecasts a batch of input rows;
-``tune_chronological`` picks hyperparameters on expanding-window splits;
-``save_model``/``load_model`` round-trip a fitted model through a versioned
-JSON document.
+``tune_chronological`` picks hyperparameters on expanding-window splits.
+A family's hyperparameters are the keyword arguments of its ``fit``
+classmethod, whose signature also holds their defaults.
 
 ``residual_variance`` is the in-sample estimate. The pipeline takes it as the
 round variance for lasso and MLP, but not for kNN, whose in-sample residuals
@@ -27,9 +27,8 @@ count each row as its own neighbour.
 
 from __future__ import annotations
 
-import json
+import inspect
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +45,8 @@ from .tuning import (
     tune_chronological,
 )
 
-FAMILIES = ("knn", "lasso", "mlp")
-_MODEL_SCHEMA_VERSION = 1
+_REGRESSORS = {"knn": KNNRegressor, "lasso": LassoRegressor, "mlp": MLPRegressor}
+FAMILIES = tuple(_REGRESSORS)
 
 TrainedModel = KNNRegressor | LassoRegressor | MLPRegressor
 
@@ -64,16 +63,18 @@ __all__ = [
     "expanding_window_folds",
     "fit",
     "lambda_max",
-    "load_model",
     "residual_variance",
-    "save_model",
     "tune_chronological",
 ]
 
 
 @dataclass(frozen=True)
 class RegressorSpec:
-    """A model family plus everything needed to refit it deterministically."""
+    """A model family plus everything needed to refit it deterministically.
+
+    ``hyperparameters`` may only name keyword arguments of the family's
+    ``fit``; anything else raises ``ValueError``.
+    """
 
     family: str
     hyperparameters: dict = field(default_factory=dict)
@@ -83,6 +84,14 @@ class RegressorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
+        params = inspect.signature(_REGRESSORS[self.family].fit).parameters
+        known = set(params) - {"inputs", "targets", "seed"}
+        unknown = sorted(set(self.hyperparameters) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown {self.family} hyperparameter(s) {unknown}, "
+                f"expected some of {sorted(known)}"
+            )
 
 
 def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
@@ -92,25 +101,9 @@ def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
     model with identical predictions.
     """
     _check_finite(data)
-    hp = spec.hyperparameters
-    if spec.family == "knn":
-        return KNNRegressor.fit(data.inputs, data.targets, k=int(hp.get("k", 8)))
-    if spec.family == "lasso":
-        return LassoRegressor.fit(
-            data.inputs,
-            data.targets,
-            lam=float(hp.get("lam", 0.0)),
-            tol=float(hp.get("tol", 1e-7)),
-            max_sweeps=int(hp.get("max_sweeps", 10_000)),
-        )
-    return MLPRegressor.fit(
-        data.inputs,
-        data.targets,
-        hidden=tuple(hp.get("hidden", (100, 50))),
-        learning_rate=float(hp.get("learning_rate", 1e-3)),
-        iterations=int(hp.get("iterations", 1000)),
-        seed=spec.seed,
-    )
+    seed = {"seed": spec.seed} if spec.family == "mlp" else {}
+    return _REGRESSORS[spec.family].fit(data.inputs, data.targets,
+                                        **spec.hyperparameters, **seed)
 
 
 def residual_variance(model: TrainedModel, data: SupervisedDataset) -> float:
@@ -119,31 +112,6 @@ def residual_variance(model: TrainedModel, data: SupervisedDataset) -> float:
     _check_finite(data)
     pred = model.predict(data.inputs)
     return float(np.mean((pred - data.targets) ** 2))
-
-
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    doc = {
-        "schema_version": _MODEL_SCHEMA_VERSION,
-        "family": model.family,
-        "scaler": model.scaler.to_json(),
-        "fitted": model.to_json(),
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != _MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema {doc.get('schema_version')!r}")
-    scaler = FeatureScaler.from_json(doc["scaler"])
-    family = doc["family"]
-    if family == "knn":
-        return KNNRegressor.from_json(doc["fitted"], scaler)
-    if family == "lasso":
-        return LassoRegressor.from_json(doc["fitted"], scaler)
-    if family == "mlp":
-        return MLPRegressor.from_json(doc["fitted"], scaler)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def _check_finite(data: SupervisedDataset) -> None:

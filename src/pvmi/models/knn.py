@@ -37,9 +37,9 @@ class KNNRegressor:
         self.k = int(k)
 
     @classmethod
-    def fit(cls, inputs: np.ndarray, targets: np.ndarray, k: int) -> "KNNRegressor":
+    def fit(cls, inputs: np.ndarray, targets: np.ndarray, k: int = 8) -> "KNNRegressor":
         scaler = FeatureScaler.fit(inputs)
-        return cls(scaler, scaler.transform(inputs), targets.copy(), k)
+        return cls(scaler, scaler.transform(inputs), targets.copy(), int(k))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         q = self.scaler.transform(np.atleast_2d(x))
@@ -84,15 +84,3 @@ class KNNRegressor:
             hi = min(lo + _QUERY_CHUNK, q.shape[0])
             chunk = q[lo:hi]
             yield lo, hi, (chunk ** 2).sum(axis=1)[:, None] - 2.0 * chunk @ self._x.T + self._x_sq
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "inputs_scaled": self._x.tolist(),
-            "targets": self._y.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict, scaler: FeatureScaler) -> "KNNRegressor":
-        return cls(scaler, np.array(doc["inputs_scaled"]), np.array(doc["targets"]),
-                   int(doc["k"]))

@@ -8,8 +8,8 @@ on standardized features with an unpenalized intercept. Because the features
 are centered, the optimal intercept is simply the target mean and stays
 fixed while the coordinates are swept. Each sweep applies the closed-form
 soft-threshold update per coordinate; iteration stops when no coefficient
-moved by more than ``tol`` (default 1e-7) or after ``max_sweeps`` sweeps,
-in which case the final iterate is returned with ``converged=False``.
+moved by more than ``TOL`` or after ``MAX_SWEEPS`` sweeps, in which case the
+final iterate is returned with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 
 from .scaling import FeatureScaler
 
-DEFAULT_TOL = 1e-7
-DEFAULT_MAX_SWEEPS = 10_000
+TOL = 1e-7
+MAX_SWEEPS = 10_000
 
 
 def soft_threshold(x: float, t: float) -> float:
@@ -39,8 +39,8 @@ class LassoRegressor:
         self.n_sweeps = int(n_sweeps)
 
     @classmethod
-    def fit(cls, inputs: np.ndarray, targets: np.ndarray, lam: float,
-            tol: float = DEFAULT_TOL, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> "LassoRegressor":
+    def fit(cls, inputs: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> "LassoRegressor":
+        lam = float(lam)
         if lam < 0:
             raise ValueError(f"penalty must be non-negative, got {lam}")
         scaler = FeatureScaler.fit(inputs)
@@ -54,7 +54,7 @@ class LassoRegressor:
 
         converged = False
         sweep = 0
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             max_delta = 0.0
             for j in range(xs.shape[1]):
                 if col_sq[j] == 0.0:
@@ -66,7 +66,7 @@ class LassoRegressor:
                     resid -= xs[:, j] * (new - old)
                     coef[j] = new
                     max_delta = max(max_delta, abs(new - old))
-            if max_delta < tol:
+            if max_delta < TOL:
                 converged = True
                 break
         return cls(scaler, coef, y_mean, lam, converged, sweep)
@@ -92,20 +92,6 @@ class LassoRegressor:
             else:
                 worst = max(worst, abs(grad[j] + self.lam * np.sign(c)))
         return worst
-
-    def to_json(self) -> dict:
-        return {
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "lam": self.lam,
-            "converged": self.converged,
-            "n_sweeps": self.n_sweeps,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict, scaler: FeatureScaler) -> "LassoRegressor":
-        return cls(scaler, np.array(doc["coef"]), doc["intercept"], doc["lam"],
-                   doc["converged"], doc["n_sweeps"])
 
 
 def lambda_max(inputs: np.ndarray, targets: np.ndarray) -> float:

@@ -16,9 +16,6 @@ import numpy as np
 
 from .scaling import FeatureScaler
 
-DEFAULT_HIDDEN = (100, 50)
-DEFAULT_LEARNING_RATE = 1e-3
-DEFAULT_ITERATIONS = 1000
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -85,11 +82,12 @@ class MLPRegressor:
 
     @classmethod
     def fit(cls, inputs: np.ndarray, targets: np.ndarray,
-            hidden: tuple[int, int] = DEFAULT_HIDDEN,
-            learning_rate: float = DEFAULT_LEARNING_RATE,
-            iterations: int = DEFAULT_ITERATIONS,
+            hidden: tuple[int, int] = (100, 50),
+            learning_rate: float = 1e-3,
+            iterations: int = 1000,
             seed: int = 0) -> "MLPRegressor":
         hidden = tuple(int(h) for h in hidden)
+        learning_rate, iterations = float(learning_rate), int(iterations)
         if len(hidden) != 2 or min(hidden) < 1:
             raise ValueError(f"hidden must be two positive widths, got {hidden}")
         if iterations < 1 or learning_rate <= 0:
@@ -115,18 +113,3 @@ class MLPRegressor:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return forward(self.params, self.scaler.transform(np.atleast_2d(x))) + self.target_mean
-
-    def to_json(self) -> dict:
-        return {
-            "hidden": list(self.hidden),
-            "target_mean": self.target_mean,
-            "params": {k: v.tolist() for k, v in self.params.items()},
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict, scaler: FeatureScaler) -> "MLPRegressor":
-        params = {k: np.array(v) for k, v in doc["params"].items()}
-        params["b1"] = params["b1"].reshape(-1)
-        params["b2"] = params["b2"].reshape(-1)
-        params["b3"] = params["b3"].reshape(-1)
-        return cls(scaler, params, doc["target_mean"], tuple(doc["hidden"]))

@@ -26,10 +26,3 @@ class FeatureScaler:
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
         return (np.asarray(inputs, dtype=float) - self.mean) / self.std
-
-    def to_json(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FeatureScaler":
-        return cls(mean=np.array(doc["mean"]), std=np.array(doc["std"]))

@@ -84,25 +84,3 @@ def generate(spec: SynthSpec) -> HourlySeries:
     eps = rng.normal(0.0, spec.noise_scale, size=irr.size)
     power = np.maximum(0.0, spec.efficiency * irr * (1.0 + eps))
     return HourlySeries(start=_DAY_START, power=power, irradiance=irr)
-
-
-def true_conditional_cdf(spec: SynthSpec, irradiance: float, x: float) -> float:
-    """Exact CDF of power given irradiance under the generator.
-
-    For zero irradiance the law is a point mass at zero. Otherwise it is a
-    normal with mean ``efficiency * irradiance`` and standard deviation
-    ``noise_scale * efficiency * irradiance`` whose negative mass is clipped
-    onto an atom at zero.
-    """
-    if irradiance < 0:
-        raise ValueError("irradiance must be non-negative")
-    if x < 0:
-        return 0.0
-    if irradiance == 0:
-        return 1.0  # point mass at zero, x >= 0 here
-    mean = spec.efficiency * irradiance
-    sd = spec.noise_scale * mean
-    if sd == 0:
-        return 1.0 if x >= mean else 0.0
-    z = (x - mean) / sd
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pvmi import ExperimentError, MissingSpec, SynthSpec, parse_csv
+from pvmi import ExperimentError, MissingSpec, SynthSpec, generate, parse_csv, write_csv
 from pvmi.cli import main
 from pvmi.experiment import (
     Cell,
@@ -101,6 +101,26 @@ def test_config_from_json_rejects_wrong_schema():
         config_from_json({"schema_version": 2})
     with pytest.raises(ValueError, match="schema_version"):
         config_from_json({})
+
+
+def test_config_from_json_rejects_unknown_keys():
+    doc = {
+        "schema_version": 1,
+        "data": {"synth": {"days": 8, "seed": 3}},
+        "test_len": 72,
+        "models": [{"family": "knn", "hyperparameters": {"k": 2}}],
+        "n_round": [3],
+        "interval_family": ["gamma"],
+    }
+    with pytest.raises(ValueError, match=r"\['interval_family', 'n_round'\]"):
+        config_from_json(doc)
+
+
+def test_model_config_rejects_unknown_hyperparameters():
+    with pytest.raises(ValueError, match="'lamda'"):
+        ModelConfig("lasso", {"lamda": 0.5})
+    with pytest.raises(ValueError, match="'K'"):
+        ModelConfig("knn", tune=True, grid=({"k": 1}, {"K": 2}))
 
 
 # ------------------------------------------------------------------- cells
@@ -349,6 +369,34 @@ def test_manifest_echoes_each_models_grid(tmp_path):
     echo = json.loads((tmp_path / "manifest.json").read_text())["config"]["models"]
     assert [m["grid"] for m in echo] == [None, [{"k": 1}, {"k": 3}]]
     assert tuple(ModelConfig(**m) for m in echo) == config.model_configs
+
+
+def test_manifest_config_echo_round_trips(tmp_path):
+    csv = tmp_path / "data.csv"
+    write_csv(generate(SynthSpec(days=8, seed=3)), csv)
+    config = config_from_json({
+        "schema_version": 1,
+        "data": {"csv": str(csv)},
+        "test_len": 72,
+        "models": [
+            {"family": "lasso", "tune": True, "grid": [{"lam": 0.3}, {"lam": 0.1}],
+             "folds": 2},
+            {"family": "mlp", "hyperparameters": {"hidden": [4, 3], "iterations": 5},
+             "seed": 7},
+        ],
+        "setups": [1],
+        "interval_families": ["normal"],
+        "train_missing": {"mode": "explicit-blocks", "blocks": [[30, 6], [70, 5]]},
+        "test_missing": {"mode": "target-fraction", "target_fraction": 0.15,
+                         "block_len_hours": 6, "seed": 2},
+        "sampler_k": 2,
+        "master_seed": 5,
+        "output_dir": str(tmp_path / "out"),
+    })
+    run(config)
+    echo = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+    echo.update(schema_version=1, output_dir=config.output_dir)
+    assert config_from_json(echo) == config
 
 
 def test_cli_rejects_missing_required_arguments():

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from pvmi import (
-    N_FEATURES,
     WINDOW_HOURS,
     IncompleteDataError,
     InsufficientDataError,
     SupervisedDataset,
     build_training,
 )
+from pvmi.features import N_FEATURES
 from tests.conftest import make_series
 
 

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvmi import (
-    DEFAULT_K_GRID,
-    ConditionalSampler,
-    InsufficientDataError,
-    complete_series,
-    fit_sampler,
-    neighbors,
-    sample_power,
-    select_k,
-)
+from pvmi import ConditionalSampler, InsufficientDataError, complete_series, fit_sampler
+from pvmi.imputation import DEFAULT_K_GRID, neighbors, sample_power, select_k
 from tests.conftest import make_series
 
 

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
 import pvmi.intervals
-from pvmi import (
-    PredictionInterval,
-    gamma_interval,
+from pvmi import PredictionInterval, gamma_interval, normal_cdf, normal_interval
+from pvmi.intervals import (
     gamma_quantile,
     gamma_shape_scale,
     inverse_normal_cdf,
-    normal_cdf,
-    normal_interval,
     regularized_gamma_p,
 )
 

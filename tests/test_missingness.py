@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from pvmi import (
-    MODE_EXPLICIT,
-    MODE_FRACTION,
-    GroundTruth,
-    MissingSpec,
-    inject_missing,
-    missing_fraction,
-)
+from pvmi import GroundTruth, MissingSpec, inject_missing, missing_fraction
+from pvmi.missingness import MODE_EXPLICIT, MODE_FRACTION
 from tests.conftest import make_series
 
 

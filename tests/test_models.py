@@ -1,4 +1,4 @@
-"""Regressor families, shared scaling, persistence, and chronological tuning."""
+"""Regressor families, shared scaling, and chronological tuning."""
 
 import numpy as np
 import pytest
@@ -16,9 +16,7 @@ from pvmi.models import (
     expanding_window_folds,
     fit,
     lambda_max,
-    load_model,
     residual_variance,
-    save_model,
     tune_chronological,
 )
 from pvmi.models.mlp import init_params, loss_and_grads
@@ -54,13 +52,6 @@ def test_scaler_constant_column_passes_through_as_zeros(rng):
     assert np.all(scaler.transform(x)[:, 1] == 0.0)
 
 
-def test_scaler_json_round_trip(rng):
-    scaler = FeatureScaler.fit(rng.normal(size=(20, 5)))
-    back = FeatureScaler.from_json(scaler.to_json())
-    assert np.array_equal(back.mean, scaler.mean)
-    assert np.array_equal(back.std, scaler.std)
-
-
 # ------------------------------------------------------------------ spec
 
 
@@ -74,6 +65,24 @@ def test_spec_copies_hyperparameters():
     spec = RegressorSpec(family="knn", hyperparameters=hp)
     hp["k"] = 99
     assert spec.hyperparameters["k"] == 3
+
+
+@pytest.mark.parametrize(
+    "family, hp, key",
+    [("lasso", {"lamda": 0.5}, "lamda"), ("knn", {"K": 2}, "K"),
+     ("lasso", {"lam": 0.1, "tol": 1e-3}, "tol"), ("mlp", {"seed": 3}, "seed")],
+)
+def test_spec_rejects_unknown_hyperparameters(family, hp, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        RegressorSpec(family, hp)
+
+
+def test_fit_defaults_come_from_the_family(rng):
+    data = make_dataset(rng, 100, target_fn=lambda x: x[:, 0])
+    assert fit(RegressorSpec("knn"), data).k == 8
+    lasso = fit(RegressorSpec("lasso"), data)
+    assert lasso.lam == 0.0
+    assert np.array_equal(lasso.coef_, LassoRegressor.fit(data.inputs, data.targets).coef_)
 
 
 # ------------------------------------------------------------------- knn
@@ -299,38 +308,6 @@ def test_residual_variance_of_constant_predictor():
     )
     model = fit(RegressorSpec("knn", {"k": 2}), data)
     assert residual_variance(model, data) == 1.0
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        RegressorSpec("knn", {"k": 3}),
-        RegressorSpec("lasso", {"lam": 0.01}),
-        RegressorSpec("mlp", {"hidden": (8, 4), "iterations": 40}, seed=2),
-    ],
-    ids=["knn", "lasso", "mlp"],
-)
-def test_save_load_round_trip(tmp_path, rng, spec):
-    data = make_dataset(rng, 40)
-    model = fit(spec, data)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    probe = rng.normal(size=(15, 48))
-    assert np.array_equal(back.predict(probe), model.predict(probe))
-
-
-def test_load_rejects_unknown_schema(tmp_path, rng):
-    import json
-
-    data = make_dataset(rng, 20)
-    path = tmp_path / "model.json"
-    save_model(fit(RegressorSpec("knn", {"k": 1}), data), path)
-    doc = json.loads(path.read_text())
-    doc["schema_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="schema"):
-        load_model(path)
 
 
 # ---------------------------------------------------------------- tuning

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pvmi import (
-    MODE_FRACTION,
     MissingSpec,
     PooledPrediction,
     RegressorSpec,
@@ -18,6 +17,7 @@ from pvmi import (
     run_pipeline,
     split_chronological,
 )
+from pvmi.missingness import MODE_FRACTION
 
 SPEC = RegressorSpec("knn", {"k": 3})
 

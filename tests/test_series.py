@@ -8,10 +8,10 @@ from pvmi import (
     GapError,
     HourlySeries,
     parse_csv,
-    serialize_csv,
     split_chronological,
     write_csv,
 )
+from pvmi.series import serialize_csv
 from tests.conftest import make_series
 
 CSV = """timestamp,power,irradiance

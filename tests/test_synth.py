@@ -1,8 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from pvmi import SynthSpec, generate, true_conditional_cdf
+from pvmi import SynthSpec, generate
+
+
+def true_conditional_cdf(spec: SynthSpec, irradiance: float, x: float) -> float:
+    """Exact CDF of power given irradiance under the generator.
+
+    For zero irradiance the law is a point mass at zero. Otherwise it is a
+    normal with mean ``efficiency * irradiance`` and standard deviation
+    ``noise_scale * efficiency * irradiance`` whose negative mass is clipped
+    onto an atom at zero.
+    """
+    if irradiance < 0:
+        raise ValueError("irradiance must be non-negative")
+    if x < 0:
+        return 0.0
+    if irradiance == 0:
+        return 1.0  # point mass at zero, x >= 0 here
+    mean = spec.efficiency * irradiance
+    sd = spec.noise_scale * mean
+    if sd == 0:
+        return 1.0 if x >= mean else 0.0
+    z = (x - mean) / sd
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 def test_length_and_reproducibility():
