@@ -91,8 +91,6 @@ def _cmd_inject(args) -> int:
     doc = json.loads(args.config.read_text())
     if args.seed is not None:
         doc["seed"] = args.seed
-    if "blocks" in doc:
-        doc["blocks"] = tuple(tuple(b) for b in doc["blocks"])
     spec = MissingSpec(**doc)
     series = parse_csv(args.data)
     masked, truth = inject_missing(series, spec)
@@ -107,6 +105,9 @@ def _cmd_inject(args) -> int:
 
 def _cmd_impute(args) -> int:
     doc = json.loads(args.config.read_text()) if args.config else {}
+    unknown = sorted(set(doc) - {"mode", "k", "seed"})
+    if unknown:
+        raise ValueError(f"unknown impute config key(s) {unknown}")
     mode = doc.get("mode", "single")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     series = parse_csv(args.data)

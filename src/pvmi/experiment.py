@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,9 @@ class ModelConfig:
         if self.hyperparameters is None and not self.tune:
             # nothing specified: fall back to tuning with the default grid
             object.__setattr__(self, "tune", True)
+        if self.tune and self.grid is None and self.family == "mlp":
+            raise ValueError("the mlp has no default grid: give it hyperparameters "
+                             "or a grid to tune over")
         if self.grid is not None:
             object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
         for hp in (self.hyperparameters or {}, *(self.grid or ())):
@@ -87,11 +90,12 @@ class ExperimentConfig:
     test_missing: MissingSpec | None = None
     alpha: float = 0.05
     sampler_k: int | None = None
-    clip_normal_at_zero: bool = False
     master_seed: int = 0
     output_dir: str = "experiment-out"
 
     def __post_init__(self) -> None:
+        for name in ("model_configs", "setups", "n_rounds", "interval_families"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if (self.data_csv is None) == (self.data_synth is None):
             raise ValueError("config must name exactly one data source (csv or synth)")
         if not self.model_configs:
@@ -108,6 +112,10 @@ class ExperimentConfig:
             raise ValueError("alpha must lie in (0, 1)")
 
 
+# JSON keys that differ from the ExperimentConfig fields they fill
+_JSON_KEYS = {"data_csv": "data", "data_synth": "data", "model_configs": "models"}
+
+
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Validate and convert a parsed JSON document into a config."""
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -115,35 +123,30 @@ def config_from_json(doc: dict) -> ExperimentConfig:
             f"unsupported schema_version {doc.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION}"
         )
-    known = ({f.name for f in fields(ExperimentConfig)}
-             - {"data_csv", "data_synth", "model_configs"}
-             | {"schema_version", "data", "models"})
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown config key(s) {unknown}")
-    data = doc.get("data", {})
-    synth = SynthSpec(**data["synth"]) if "synth" in data else None
-    mspecs = {}
+    doc = {k: v for k, v in doc.items() if k != "schema_version"}
+    defaults = {_JSON_KEYS.get(f.name, f.name): f.default for f in fields(ExperimentConfig)}
+    _check_keys("config", doc, known=set(defaults),
+                required={k for k, v in defaults.items() if v is MISSING})
+    data = doc.pop("data")
+    _check_keys("data", data, known={"csv", "synth"})
     for part in ("train_missing", "test_missing"):
-        entry = doc.get(part)
-        mspecs[part] = MissingSpec(**entry) if entry else None
-    model_configs = tuple(ModelConfig(**m) for m in doc["models"])
+        if doc.get(part) is not None:
+            doc[part] = MissingSpec(**doc[part])
     return ExperimentConfig(
         data_csv=data.get("csv"),
-        data_synth=synth,
-        test_len=int(doc["test_len"]),
-        model_configs=model_configs,
-        setups=tuple(doc.get("setups", (1, 2, 3))),
-        n_rounds=tuple(doc.get("n_rounds", (5, 10))),
-        interval_families=tuple(doc.get("interval_families", INTERVAL_FAMILIES)),
-        train_missing=mspecs["train_missing"],
-        test_missing=mspecs["test_missing"],
-        alpha=float(doc.get("alpha", 0.05)),
-        sampler_k=doc.get("sampler_k"),
-        clip_normal_at_zero=bool(doc.get("clip_normal_at_zero", False)),
-        master_seed=int(doc.get("master_seed", 0)),
-        output_dir=doc.get("output_dir", "experiment-out"),
+        data_synth=SynthSpec(**data["synth"]) if "synth" in data else None,
+        model_configs=tuple(ModelConfig(**m) for m in doc.pop("models")),
+        **doc,
     )
+
+
+def _check_keys(where: str, doc: dict, known: set, required: set = frozenset()) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ValueError(f"missing {where} key(s) {missing}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -378,10 +381,8 @@ def _resolve_models(config: ExperimentConfig, train: HourlySeries,
         elif mc.family == "knn":
             max_k = len(train_ds) // (mc.folds + 1)
             grid = models.default_knn_grid(max(1, max_k))
-        elif mc.family == "lasso":
+        else:  # lasso; ModelConfig requires a grid to tune the MLP
             grid = models.default_lasso_grid(train_ds)
-        else:
-            grid = [dict(mc.hyperparameters or {})]
         spec = models.tune_chronological(mc.family, train_ds, grid, folds=mc.folds,
                                          seed=mc.seed)
         specs.append(spec)
@@ -392,11 +393,7 @@ def _resolve_models(config: ExperimentConfig, train: HourlySeries,
 def _cell_intervals(pooled, interval_family: str, config: ExperimentConfig
                     ) -> list[PredictionInterval]:
     if interval_family == "normal":
-        return [
-            normal_interval(p.mean, p.total_var, config.alpha,
-                            clip_at_zero=config.clip_normal_at_zero)
-            for p in pooled
-        ]
+        return [normal_interval(p.mean, p.total_var, config.alpha) for p in pooled]
     return [gamma_interval(p.mean, max(p.total_var, 0.0), config.alpha) for p in pooled]
 
 

@@ -6,76 +6,36 @@ gamma distribution (shape = mean^2/variance, scale = variance/mean). The
 gamma family respects the non-negativity of PV power; when the predictive
 mean is non-positive the gamma interval degenerates to [0, 0].
 
-The quantile functions are implemented here rather than imported: the
-normal quantile uses a rational approximation polished by one Newton step
-against the erf-based CDF, and the gamma quantile inverts the regularized
-lower incomplete gamma function (power series below a+1, continued fraction
-above) by Newton's method on log x, safeguarded by bisection inside a
-bracket that two closed-form bounds give.
+The normal CDF and quantile come from the standard library's
+``statistics.NormalDist`` (the quantile is Wichura's AS 241). The gamma
+quantile is implemented here: it inverts the regularized lower incomplete
+gamma function (power series below a+1, continued fraction above) by
+Newton's method on log x, safeguarded by bisection inside a bracket that two
+closed-form bounds give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 # --------------------------------------------------------------------------
 # normal CDF / inverse CDF
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Coefficients of the rational lower-tail/central approximations
-# (Acklam's minimax fit, relative error ~1.15e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+_NORMAL = NormalDist()
 
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
-def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    return _NORMAL.cdf(x)
 
 
 def inverse_normal_cdf(p: float) -> float:
-    """Standard normal quantile for ``p`` in (0, 1).
-
-    Evaluated on the lower half and reflected, so the symmetry
-    ``inverse_normal_cdf(1 - p) == -inverse_normal_cdf(p)`` holds exactly.
-    """
+    """Standard normal quantile for ``p`` in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if p <= 0.5:
-        return _lower_quantile(p)
-    return -_lower_quantile(1.0 - p)
-
-
-def _lower_quantile(p: float) -> float:
-    # rational approximation on (0, 0.5]
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    else:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    # one Newton step against the exact CDF
-    pdf = normal_pdf(x)
-    if pdf > 0.0:
-        x -= (normal_cdf(x) - p) / pdf
-    return x
+    return _NORMAL.inv_cdf(p)
 
 
 # --------------------------------------------------------------------------
@@ -213,26 +173,14 @@ class PredictionInterval:
         return self.lower <= value <= self.upper
 
 
-def normal_interval(
-    mean: float,
-    variance: float,
-    alpha: float,
-    clip_at_zero: bool = False,
-) -> PredictionInterval:
-    """Central normal interval ``mean +- z_{1-alpha/2} * sqrt(variance)``.
-
-    ``clip_at_zero`` optionally truncates the bounds at zero for reporting;
-    it is off by default so the raw normal band is visible.
-    """
+def normal_interval(mean: float, variance: float, alpha: float) -> PredictionInterval:
+    """Central normal interval ``mean +- z_{1-alpha/2} * sqrt(variance)``."""
     _check_alpha(alpha)
     if variance < 0.0:
         raise ValueError(f"variance must be non-negative, got {variance}")
     z = inverse_normal_cdf(1.0 - alpha / 2.0)
     half = z * math.sqrt(variance)
-    lower, upper = mean - half, mean + half
-    if clip_at_zero:
-        lower, upper = max(0.0, lower), max(0.0, upper)
-    return PredictionInterval(lower, upper)
+    return PredictionInterval(mean - half, mean + half)
 
 
 def gamma_interval(mean: float, variance: float, alpha: float) -> PredictionInterval:

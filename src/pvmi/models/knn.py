@@ -39,16 +39,13 @@ class KNNRegressor:
     @classmethod
     def fit(cls, inputs: np.ndarray, targets: np.ndarray, k: int = 8) -> "KNNRegressor":
         scaler = FeatureScaler.fit(inputs)
-        return cls(scaler, scaler.transform(inputs), targets.copy(), int(k))
+        return cls(scaler, scaler.transform(inputs), targets.copy(), k)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         q = self.scaler.transform(np.atleast_2d(x))
         out = np.empty(q.shape[0])
         for lo, hi, d2 in self._distance_chunks(q):
-            if self.k >= self._x.shape[0]:
-                idx = np.broadcast_to(np.arange(self._x.shape[0]), d2.shape)
-            else:
-                idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
+            idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
             out[lo:hi] = self._y[idx].mean(axis=1)
         return out
 

@@ -36,7 +36,7 @@ def expanding_window_folds(n: int, folds: int) -> list[tuple[int, int]]:
     return out
 
 
-def tune_chronological(family: str, data: SupervisedDataset, grid, folds: int = 5,
+def tune_chronological(family: str, data: SupervisedDataset, grid, folds: int,
                        seed: int = 0):
     """Return the RegressorSpec from ``grid`` with the best expanding-window MSE.
 

@@ -52,6 +52,15 @@ def test_model_config_defaults_to_tuning():
         ModelConfig("boost")
 
 
+def test_model_config_needs_a_grid_to_tune_the_mlp():
+    with pytest.raises(ValueError, match="grid"):
+        ModelConfig("mlp")
+    with pytest.raises(ValueError, match="grid"):
+        ModelConfig("mlp", {"iterations": 5}, tune=True)
+    tuned = ModelConfig("mlp", tune=True, grid=({"iterations": 5}, {"iterations": 9}))
+    assert tuned.tune is True
+
+
 def test_config_requires_exactly_one_data_source():
     with pytest.raises(ValueError, match="data source"):
         small_config(data_csv="x.csv")  # both csv and synth
@@ -96,6 +105,30 @@ def test_config_from_json_round_trip():
     assert config.sampler_k == 2
 
 
+MINIMAL_DOC = {
+    "schema_version": 1,
+    "data": {"synth": {"days": 8, "seed": 3}},
+    "test_len": 72,
+    "models": [{"family": "knn", "hyperparameters": {"k": 2}}],
+}
+
+
+def test_config_from_json_defaults_come_from_the_dataclass():
+    assert config_from_json(MINIMAL_DOC) == ExperimentConfig(
+        data_csv=None,
+        data_synth=SynthSpec(days=8, seed=3),
+        test_len=72,
+        model_configs=(KNN2,),
+    )
+
+
+def test_config_lists_become_tuples():
+    config = small_config(model_configs=[KNN2], setups=[1], n_rounds=[2, 3],
+                          interval_families=["gamma"])
+    assert config == small_config(setups=(1,), n_rounds=(2, 3),
+                                  interval_families=("gamma",))
+
+
 def test_config_from_json_rejects_wrong_schema():
     with pytest.raises(ValueError, match="schema_version"):
         config_from_json({"schema_version": 2})
@@ -113,6 +146,19 @@ def test_config_from_json_rejects_unknown_keys():
         "interval_family": ["gamma"],
     }
     with pytest.raises(ValueError, match=r"\['interval_family', 'n_round'\]"):
+        config_from_json(doc)
+
+
+def test_config_from_json_rejects_unknown_data_keys():
+    doc = {**MINIMAL_DOC, "data": {"synth": {"days": 8}, "cvs": "x.csv"}}
+    with pytest.raises(ValueError, match=r"unknown data key\(s\) \['cvs'\]"):
+        config_from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["data", "models", "test_len"])
+def test_config_from_json_names_a_missing_key(key):
+    doc = {k: v for k, v in MINIMAL_DOC.items() if k != key}
+    with pytest.raises(ValueError, match=rf"missing config key\(s\) \['{key}'\]"):
         config_from_json(doc)
 
 
@@ -319,6 +365,15 @@ def test_cli_inject_then_impute_round_trip(tmp_path, capsys):
     # observed hours pass through untouched
     keep = ~masked.mask
     assert np.array_equal(completed.power[keep], masked.power[keep])
+
+
+def test_cli_impute_rejects_unknown_keys(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv(generate(SynthSpec(days=3, seed=4)), data)
+    cfg = write_json(tmp_path / "impute.json", {"mode": "single", "K": 2, "sed": 1})
+    with pytest.raises(ValueError, match=r"\['K', 'sed'\]"):
+        main(["impute", str(data), "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+    assert not (tmp_path / "c.csv").exists()
 
 
 EXPERIMENT_DOC = {

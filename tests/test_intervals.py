@@ -38,13 +38,23 @@ def test_inverse_normal_cdf_against_quadrature_oracle():
 
 
 def test_inverse_normal_cdf_symmetry_is_exact():
-    # the upper half is evaluated by reflecting the lower half, so quantiles
-    # of q and of the computed complement 1 - q are exact negatives
+    # the quantile reads p only through p - 0.5 and min(p, 1 - p), which the
+    # computed complement 1 - q of a q > 0.5 mirrors exactly, so the
+    # quantiles of q and 1 - q are exact negatives
     for q in [0.9999, 0.99, 0.8, 0.51]:
         assert inverse_normal_cdf(q) == -inverse_normal_cdf(1.0 - q)
     for p in [0.0625, 0.25]:  # dyadic: 1 - p is exact in both directions
         assert inverse_normal_cdf(1.0 - p) == -inverse_normal_cdf(p)
     assert inverse_normal_cdf(0.5) == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=1e-300, max_value=0.5))
+def test_inverse_normal_cdf_matches_ndtri(p):
+    for q in (p, 1.0 - p):
+        if q < 1.0:
+            want = special.ndtri(q)
+            assert abs(inverse_normal_cdf(q) - want) <= 1e-14 * abs(want), f"q={q!r}"
 
 
 def test_inverse_normal_cdf_pinned_975_quantile():
@@ -197,14 +207,6 @@ def test_normal_interval_zero_variance_is_a_point():
     band = normal_interval(mean=0.7, variance=0.0, alpha=0.05)
     assert (band.lower, band.upper) == (0.7, 0.7)
     assert band.width() == 0.0
-
-
-def test_normal_interval_clipping_truncates_at_zero():
-    raw = normal_interval(mean=0.1, variance=1.0, alpha=0.05)
-    clipped = normal_interval(mean=0.1, variance=1.0, alpha=0.05, clip_at_zero=True)
-    assert raw.lower < 0.0
-    assert clipped.lower == 0.0
-    assert clipped.upper == raw.upper
 
 
 def test_normal_interval_argument_validation():
