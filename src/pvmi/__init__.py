@@ -13,6 +13,7 @@ normalized RMSE on the observed test hours.
 """
 
 from .errors import (
+    CollinearDesignError,
     DataError,
     DegenerateNormalizationError,
     DomainError,
@@ -36,6 +37,7 @@ from .synth import SynthSpec, generate
 __version__ = "0.1.0"
 
 __all__ = [
+    "CollinearDesignError",
     "ConditionalSampler",
     "DataError",
     "DegenerateNormalizationError",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import load_config, reaggregate, run
+from .experiment import from_json, load_config, reaggregate, run
 from .imputation import complete_series, fit_sampler
 from .missingness import MissingSpec, inject_missing
 from .series import parse_csv, write_csv
@@ -81,7 +81,7 @@ def _cmd_synth(args) -> int:
     doc = json.loads(args.config.read_text()) if args.config else {}
     if args.seed is not None:
         doc["seed"] = args.seed
-    series = generate(SynthSpec(**doc))
+    series = generate(from_json(SynthSpec, "synth config", doc))
     write_csv(series, args.out)
     print(f"wrote {len(series)} hours to {args.out}")
     return 0
@@ -91,7 +91,7 @@ def _cmd_inject(args) -> int:
     doc = json.loads(args.config.read_text())
     if args.seed is not None:
         doc["seed"] = args.seed
-    spec = MissingSpec(**doc)
+    spec = from_json(MissingSpec, "gap config", doc)
     series = parse_csv(args.data)
     masked, truth = inject_missing(series, spec)
     write_csv(masked, args.out)

@@ -35,5 +35,11 @@ class DegenerateNormalizationError(ValueError):
     """A normalising constant is zero, so the metric is undefined."""
 
 
+class CollinearDesignError(ValueError):
+    """The lasso cannot be solved: its standardized features are linearly
+    dependent where the solution needs them independent, or its path does
+    not reach the penalty within the step cap."""
+
+
 class ExperimentError(RuntimeError):
     """One or more experiment cells failed; partial results were written."""

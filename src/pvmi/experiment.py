@@ -131,13 +131,23 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     _check_keys("data", data, known={"csv", "synth"})
     for part in ("train_missing", "test_missing"):
         if doc.get(part) is not None:
-            doc[part] = MissingSpec(**doc[part])
+            doc[part] = from_json(MissingSpec, part, doc[part])
     return ExperimentConfig(
         data_csv=data.get("csv"),
-        data_synth=SynthSpec(**data["synth"]) if "synth" in data else None,
-        model_configs=tuple(ModelConfig(**m) for m in doc.pop("models")),
+        data_synth=from_json(SynthSpec, "data.synth", data["synth"]) if "synth" in data else None,
+        model_configs=tuple(from_json(ModelConfig, f"models[{i}]", m)
+                            for i, m in enumerate(doc.pop("models"))),
         **doc,
     )
+
+
+def from_json(cls, where: str, doc: dict):
+    """``cls(**doc)`` for a dataclass ``cls``, after checking ``doc``'s keys
+    against its fields; ``where`` names the object in the error."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    _check_keys(where, doc, known={f.name for f in fields(cls)}, required=required)
+    return cls(**doc)
 
 
 def _check_keys(where: str, doc: dict, known: set, required: set = frozenset()) -> None:

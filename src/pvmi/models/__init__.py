@@ -8,8 +8,8 @@ input and standardizing it internally:
     hyperparameters: ``k``; ``KNNRegressor.loo_residual_variance`` gives its
     exact leave-one-out residual variance.
 ``lasso``
-    L1-penalized linear model fitted by cyclic coordinate descent,
-    hyperparameters: ``lam`` (penalty).
+    L1-penalized linear model solved exactly along its piecewise-linear
+    path in the penalty, hyperparameters: ``lam`` (penalty).
 ``mlp``
     two-hidden-layer ReLU network trained with full-batch Adam,
     hyperparameters: ``hidden``, ``learning_rate``, ``iterations``.

@@ -1,6 +1,7 @@
 """Experiment grid driver, its artifacts, and the command-line front end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,26 @@ def test_config_from_json_rejects_unknown_data_keys():
     doc = {**MINIMAL_DOC, "data": {"synth": {"days": 8}, "cvs": "x.csv"}}
     with pytest.raises(ValueError, match=r"unknown data key\(s\) \['cvs'\]"):
         config_from_json(doc)
+
+
+GAPS = {"mode": "target-fraction", "target_fraction": 0.2, "seed": 1}
+
+
+@pytest.mark.parametrize("where, patch, bad", [
+    ("models[1]", {"models": [{"family": "knn", "hyperparameters": {"k": 2}},
+                              {"family": "knn", "hyperparamters": {"k": 3}}]}, "hyperparamters"),
+    ("data.synth", {"data": {"synth": {"dayz": 8}}}, "dayz"),
+    ("train_missing", {"train_missing": {**GAPS, "fraction": 0.2}}, "fraction"),
+    ("test_missing", {"test_missing": {**GAPS, "sed": 2}}, "sed"),
+])
+def test_config_from_json_rejects_unknown_nested_keys(where, patch, bad):
+    with pytest.raises(ValueError, match=rf"unknown {re.escape(where)} key\(s\) \['{bad}'\]"):
+        config_from_json({**MINIMAL_DOC, **patch})
+
+
+def test_config_from_json_names_a_missing_nested_key():
+    with pytest.raises(ValueError, match=r"missing models\[0\] key\(s\) \['family'\]"):
+        config_from_json({**MINIMAL_DOC, "models": [{"tune": True}]})
 
 
 @pytest.mark.parametrize("key", ["data", "models", "test_len"])
@@ -374,6 +395,23 @@ def test_cli_impute_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError, match=r"\['K', 'sed'\]"):
         main(["impute", str(data), "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("command, doc, bad", [
+    ("synth", {"dayz": 8}, "dayz"),
+    ("inject", {**GAPS, "blokcs": []}, "blokcs"),
+])
+def test_cli_synth_and_inject_reject_unknown_keys(tmp_path, command, doc, bad):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out.csv"
+    args = ["--config", str(cfg), "--out", str(out)]
+    if command == "inject":
+        data = tmp_path / "data.csv"
+        write_csv(generate(SynthSpec(days=3, seed=4)), data)
+        args.insert(0, str(data))
+    with pytest.raises(ValueError, match=rf"unknown \w+ config key\(s\) \['{bad}'\]"):
+        main([command, *args])
+    assert not out.exists()
 
 
 EXPERIMENT_DOC = {
