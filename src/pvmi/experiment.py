@@ -8,8 +8,9 @@ cell of
     setup x model x n_rounds x interval_family
 
 (setup 1 ignores the number of rounds, so its cells collapse along that
-axis), runs the forecast pipeline per cell, and writes three artifacts into
-the output directory:
+axis), pools each cell's rounds with the one :class:`~pvmi.pipeline.Pipeline`
+of its model (so setup 1 and every setup-2 cell of a model share one fitted
+model), and writes three artifacts into the output directory:
 
 ``summary.json``
     one record per cell with coverage, NRMSE, evaluated-hour count and mean
@@ -37,12 +38,12 @@ import numpy as np
 
 from . import __version__, models
 from .errors import ExperimentError
-from .features import WINDOW_HOURS, build_training
-from .imputation import ConditionalSampler, complete_series, fit_sampler
+from .features import WINDOW_HOURS
+from .imputation import fit_sampler
 from .intervals import PredictionInterval, gamma_interval, normal_interval
 from .metrics import evaluate
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
-from .pipeline import run_pipeline
+from .pipeline import Completions, Pipeline
 from .series import HourlySeries, parse_csv, split_chronological
 from .synth import SynthSpec, generate
 
@@ -238,7 +239,9 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
         test, test_truth = inject_missing(test, config.test_missing)
 
     sampler = fit_sampler(train, k=config.sampler_k)
-    resolved_specs, tuned_flags = _resolve_models(config, train, sampler)
+    completions = Completions(train, test, sampler)
+    resolved_specs, tuned_flags = _resolve_models(config, completions)
+    pipelines = [Pipeline(completions, spec) for spec in resolved_specs]
 
     truth_restored = test_truth.restore(test) if test_truth is not None else test
 
@@ -259,15 +262,8 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
         }
         try:
             if cell.pipeline_id not in pipeline_cache:
-                pipeline_cache[cell.pipeline_id] = run_pipeline(
-                    train,
-                    test,
-                    resolved_specs[cell.model_index],
-                    setup=cell.setup,
-                    n_rounds=b_run,
-                    seed=seed,
-                    sampler_k=sampler.k,
-                )
+                pipeline_cache[cell.pipeline_id] = pipelines[cell.model_index].pool(
+                    cell.setup, b_run, seed)
             pooled = pipeline_cache[cell.pipeline_id]
             intervals = _cell_intervals(pooled, cell.interval_family, config)
             scores = evaluate(intervals, [p.mean for p in pooled], test, config.alpha)
@@ -372,20 +368,17 @@ def _load_data(config: ExperimentConfig) -> HourlySeries:
     return generate(config.data_synth)
 
 
-def _resolve_models(config: ExperimentConfig, train: HourlySeries,
-                    sampler: ConditionalSampler):
+def _resolve_models(config: ExperimentConfig, completions: Completions):
     """Turn every ModelConfig into a concrete RegressorSpec, tuning on the
-    deterministically completed training data where requested."""
+    single-imputed training set where requested."""
     specs: list[models.RegressorSpec] = []
     tuned: list[bool] = []
-    train_ds = None
     for mc in config.model_configs:
         if not mc.tune:
             specs.append(models.RegressorSpec(mc.family, mc.hyperparameters, mc.seed))
             tuned.append(False)
             continue
-        if train_ds is None:
-            train_ds = build_training(complete_series(train, sampler, "single"))
+        train_ds = completions.train_single
         if mc.grid is not None:
             grid = list(mc.grid)
         elif mc.family == "knn":

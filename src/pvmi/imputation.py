@@ -7,6 +7,11 @@ closest irradiance are collected; the empirical distribution that puts mass
 power given irradiance. Drawing from it gives a stochastic imputation,
 averaging it gives the usual single (point) imputation.
 
+A completion takes two steps: :func:`gap_neighbors` finds the k neighbours
+of every missing hour, and :func:`fill_gaps` writes their mean or one draw
+among them. Repeated completions of one series reuse the first step;
+:func:`complete_series` does both.
+
 The neighbourhood size k can be fixed or chosen automatically by
 leave-one-out mean squared error of the neighbourhood mean over a small
 geometric grid.
@@ -144,37 +149,58 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     return best
 
 
-def complete_series(
+def gap_neighbors(series: HourlySeries, sampler: ConditionalSampler):
+    """``(missing, nbrs)``: the indices of the missing hours of ``series`` and
+    the ``(m, k)`` :func:`neighbors` of their irradiances, everything a
+    completion of ``series`` needs from the sampler's index."""
+    missing = np.flatnonzero(series.mask)
+    return missing, neighbors(sampler, series.irradiance[missing])
+
+
+def fill_gaps(
     series: HourlySeries,
     sampler: ConditionalSampler,
+    gaps,
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> HourlySeries:
-    """Fill every missing hour of ``series`` using the sampler.
+    """Fill the missing hours of ``series`` from their neighbours ``gaps``, the
+    pair :func:`gap_neighbors` returns.
 
     ``mode="single"`` writes the neighbourhood mean, ``mode="stochastic"``
-    writes an independent draw per missing hour (``rng`` required). The
-    result has no missing values; observed hours are untouched.
+    writes an independent draw per missing hour (``rng`` required), one
+    ``rng.integers(0, k, size=m)`` call for the m missing hours. The result
+    has no missing values; observed hours are untouched.
     """
     if mode not in ("single", "stochastic"):
         raise ValueError(f"mode must be 'single' or 'stochastic', got {mode!r}")
-    missing = np.flatnonzero(series.mask)
+    missing, nbrs = gaps
     power = series.power.copy()
     if missing.size:
-        nm = neighbors(sampler, series.irradiance[missing])
         if mode == "single":
-            power[missing] = sampler.power[nm].mean(axis=1)
+            power[missing] = sampler.power[nbrs].mean(axis=1)
         else:
             if rng is None:
                 raise ValueError("stochastic completion requires an rng")
             cols = rng.integers(0, sampler.k, size=missing.size)
-            power[missing] = sampler.power[nm[np.arange(missing.size), cols]]
+            power[missing] = sampler.power[nbrs[np.arange(missing.size), cols]]
     return HourlySeries(
         start=series.start,
         power=power,
         irradiance=series.irradiance,
         mask=np.zeros(len(series), dtype=bool),
     )
+
+
+def complete_series(
+    series: HourlySeries,
+    sampler: ConditionalSampler,
+    mode: str,
+    rng: np.random.Generator | None = None,
+) -> HourlySeries:
+    """Fill every missing hour of ``series`` using the sampler: the
+    :func:`fill_gaps` of its :func:`gap_neighbors`."""
+    return fill_gaps(series, sampler, gap_neighbors(series, sampler), mode, rng)
 
 
 def _nearest_pairs(irradiance: np.ndarray, queries: np.ndarray, kmax: int,

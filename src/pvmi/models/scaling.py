@@ -1,8 +1,10 @@
 """Per-feature standardization learned on training inputs.
 
 Every model family standardizes its inputs with the training mean and
-standard deviation; features with zero variance get a unit divisor so they
-pass through as constant zeros instead of dividing by zero.
+standard deviation. A constant feature (``np.ptp == 0``) is centred on its
+value and gets a unit divisor, so it passes through as exact zeros; its
+float mean and std would not do that, since the mean of n copies of 0.1 is
+not 0.1 and leaves a std of about 1e-17.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ class FeatureScaler:
 
     @classmethod
     def fit(cls, inputs: np.ndarray) -> "FeatureScaler":
-        mean = inputs.mean(axis=0)
-        std = inputs.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
+        constant = np.ptp(inputs, axis=0) == 0
+        mean = np.where(constant, inputs[0], inputs.mean(axis=0))
+        std = np.where(constant, 1.0, inputs.std(axis=0))
         return cls(mean=mean, std=std)
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:

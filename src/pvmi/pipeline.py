@@ -26,15 +26,30 @@ reused everywhere. Round ``b`` draws from a generator seeded with
 ``(seed, b)``, so results are reproducible and independent of execution
 order; with no missing data all rounds coincide and every setup collapses
 to the complete-data pipeline.
+
+Only what changes from round to round is computed per round. Per run, a
+:class:`Completions` holds what depends on the data and the sampler alone:
+the missing hours of each series and their sampler neighbours, the
+single-imputed training set, and which test windows hold a gap.
+Per spec, a :class:`Pipeline` holds what the model adds: the
+single-imputation model shared by setups 1 and 2, its round variance and its
+forecasts of the gap-free test windows. Per round, :meth:`Pipeline.pool`
+draws one completion (one ``rng.integers(0, k, size=m)`` call per series)
+and predicts, in setups 1-2, only the test rows whose window holds a gap; in
+setup 3 it fits the round's own model and predicts every row. A gap-free row
+is predicted once, in one batch, and every round reuses that forecast, so
+its between-round variance is exactly zero.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import models
-from .features import SupervisedDataset, build_training
-from .imputation import complete_series, fit_sampler
+from .features import WINDOW_HOURS, SupervisedDataset, build_training
+from .imputation import ConditionalSampler, fill_gaps, fit_sampler, gap_neighbors
 from .pooling import PooledPrediction, RoundPrediction, rubin_pool
 from .series import HourlySeries
 
@@ -78,49 +93,118 @@ def run_pipeline(
         For a kNN spec whose ``k`` is not below the number of training rows,
         which leaves no leave-one-out residual variance.
     """
-    if setup not in SETUPS:
-        raise ValueError(f"setup must be one of {SETUPS}, got {setup}")
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    b_total = 1 if setup == 1 else int(n_rounds)
-
     sampler = fit_sampler(train, k=sampler_k)
+    return Pipeline(Completions(train, test, sampler), spec).pool(setup, n_rounds, seed)
 
-    shared_model = None
-    shared_var = None
-    if setup in (1, 2):
-        train_full = complete_series(train, sampler, "single")
-        train_ds = build_training(train_full)
-        shared_model = models.fit(spec, train_ds)
-        shared_var = _round_variance(shared_model, train_ds)
 
-    round_means: list[np.ndarray] = []
-    round_vars: list[float] = []
-    for b in range(1, b_total + 1):
-        rng = np.random.default_rng([seed, b])
-        if setup == 3:
-            train_b = complete_series(train, sampler, "stochastic", rng)
-            train_ds = build_training(train_b)
-            model_b = models.fit(spec, train_ds)
-            var_b = _round_variance(model_b, train_ds)
-        else:
-            model_b = shared_model
-            var_b = shared_var
-        test_mode = "single" if setup == 1 else "stochastic"
-        test_b = complete_series(test, sampler, test_mode, rng)
-        test_ds = build_training(test_b)
-        round_means.append(model_b.predict(test_ds.inputs))
-        round_vars.append(float(var_b))
+class Completions:
+    """The spec-independent stages of one (train, test, sampler), each built
+    on first use and kept. A stage that raises is not kept."""
 
-    means = np.stack(round_means)  # (B, n_hours)
-    pooled = [
-        rubin_pool([
-            RoundPrediction(mean=float(means[b, i]), variance=round_vars[b])
-            for b in range(b_total)
-        ])
-        for i in range(means.shape[1])
-    ]
-    return pooled
+    def __init__(self, train: HourlySeries, test: HourlySeries,
+                 sampler: ConditionalSampler):
+        self.train = train
+        self.test = test
+        self.sampler = sampler
+
+    @cached_property
+    def train_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        return gap_neighbors(self.train, self.sampler)
+
+    @cached_property
+    def test_gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        return gap_neighbors(self.test, self.sampler)
+
+    @cached_property
+    def train_single(self) -> SupervisedDataset:
+        return self._windows(self.train, self.train_gaps, "single")
+
+    @cached_property
+    def gap_rows(self) -> np.ndarray:
+        """True for each test row whose input window, hours ``[i, i+23]``,
+        holds a missing hour."""
+        missing_before = np.concatenate(([0], np.cumsum(self.test.mask)))
+        return missing_before[WINDOW_HOURS:-1] > missing_before[: -WINDOW_HOURS - 1]
+
+    def test_single(self) -> SupervisedDataset:
+        # not kept: each spec uses it once or twice, and it is as large as a
+        # round's test set
+        return self._windows(self.test, self.test_gaps, "single")
+
+    def train_draw(self, rng: np.random.Generator) -> SupervisedDataset:
+        return self._windows(self.train, self.train_gaps, "stochastic", rng)
+
+    def test_draw(self, rng: np.random.Generator) -> SupervisedDataset:
+        return self._windows(self.test, self.test_gaps, "stochastic", rng)
+
+    def _windows(self, series, gaps, mode, rng=None) -> SupervisedDataset:
+        return build_training(fill_gaps(series, self.sampler, gaps, mode, rng))
+
+
+class Pipeline:
+    """One spec's forecasts over a :class:`Completions`. The shared
+    single-imputation model and its forecasts of the gap-free test rows are
+    built on first use and serve every setup-1/2 pooling."""
+
+    def __init__(self, completions: Completions, spec: models.RegressorSpec):
+        self.completions = completions
+        self.spec = spec
+
+    @cached_property
+    def shared(self) -> tuple[models.TrainedModel, float]:
+        """The model fitted on the single-imputed training set, and its
+        round variance."""
+        train_ds = self.completions.train_single
+        model = models.fit(self.spec, train_ds)
+        return model, _round_variance(model, train_ds)
+
+    @cached_property
+    def gap_free_means(self) -> np.ndarray:
+        """The shared model's forecasts of the test rows whose window holds
+        no gap, predicted in one batch."""
+        c = self.completions
+        return self.shared[0].predict(c.test_single().inputs[~c.gap_rows])
+
+    def pool(self, setup: int, n_rounds: int, seed: int) -> list[PooledPrediction]:
+        """:func:`run_pipeline`'s rounds and pooling, for this spec and the
+        sampler of :attr:`completions`."""
+        if setup not in SETUPS:
+            raise ValueError(f"setup must be one of {SETUPS}, got {setup}")
+        if n_rounds < 1:
+            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+        b_total = 1 if setup == 1 else int(n_rounds)
+        c = self.completions
+        if setup in (1, 2):
+            model, var = self.shared
+            free_means = self.gap_free_means
+            gap = c.gap_rows
+
+        round_means: list[np.ndarray] = []
+        round_vars: list[float] = []
+        for b in range(1, b_total + 1):
+            rng = np.random.default_rng([seed, b])
+            if setup == 3:
+                train_ds = c.train_draw(rng)  # drawn before the test series
+                model = models.fit(self.spec, train_ds)
+                var = _round_variance(model, train_ds)
+                means = model.predict(c.test_draw(rng).inputs)
+            else:
+                # only the gap rows' windows outlive this line
+                inputs = (c.test_single() if setup == 1 else c.test_draw(rng)).inputs[gap]
+                means = np.empty(gap.size)
+                means[~gap] = free_means
+                means[gap] = model.predict(inputs)
+            round_means.append(means)
+            round_vars.append(float(var))
+
+        means = np.stack(round_means)  # (B, n_hours)
+        return [
+            rubin_pool([
+                RoundPrediction(mean=float(means[b, i]), variance=round_vars[b])
+                for b in range(b_total)
+            ])
+            for i in range(means.shape[1])
+        ]
 
 
 def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> float:

@@ -323,6 +323,35 @@ def test_failing_cells_are_isolated(tmp_path):
     assert len(reaggregate(tmp_path)["cells"]) == len(manifest["cells"])
 
 
+def test_run_fits_each_shared_model_once_and_finds_neighbours_once(tmp_path, monkeypatch):
+    # setup 1 and every setup-2 cell of a spec share one single-imputation
+    # model (1 fit), setup 3 fits one model per round (2 + 3); the sampler
+    # neighbours of each series' gaps are found once, whatever B is
+    import pvmi.imputation
+    import pvmi.models
+
+    calls = {"fit": 0, "neighbors": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pvmi.models, "fit", counted("fit", pvmi.models.fit))
+    monkeypatch.setattr(pvmi.imputation, "neighbors",
+                        counted("neighbors", pvmi.imputation.neighbors))
+
+    def counts(n_rounds):
+        calls.update(fit=0, neighbors=0)
+        run(small_config(setups=(1, 2, 3), n_rounds=n_rounds), tmp_path / str(n_rounds))
+        return dict(calls)
+
+    few, many = counts((2, 3)), counts((4, 5))
+    assert few["fit"] == 6
+    assert few["neighbors"] == many["neighbors"]
+
+
 # --------------------------------------------------------------------- cli
 
 

@@ -55,6 +55,17 @@ def test_scaler_constant_column_passes_through_as_zeros(rng):
     assert np.all(scaler.transform(x)[:, 1] == 0.0)
 
 
+@pytest.mark.parametrize("value, n", [(0.1, 3), (2.7, 456)])
+def test_scaler_maps_an_inexact_constant_to_exact_zeros(rng, value, n):
+    # the float mean of n copies of these values is not the value itself, so
+    # mean and std alone would leave a std of ~1e-17 and a column of +-1.0
+    x = rng.normal(size=(n, 2))
+    x[:, 0] = value
+    scaler = FeatureScaler.fit(x)
+    assert scaler.std[0] == 1.0
+    assert np.all(scaler.transform(x)[:, 0] == 0.0)
+
+
 # ------------------------------------------------------------------ spec
 
 

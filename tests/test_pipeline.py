@@ -7,19 +7,61 @@ from pvmi import (
     MissingSpec,
     PooledPrediction,
     RegressorSpec,
+    RoundPrediction,
     SynthSpec,
     build_training,
+    complete_series,
     fit,
     fit_sampler,
     generate,
     inject_missing,
     residual_variance,
+    rubin_pool,
     run_pipeline,
     split_chronological,
 )
 from pvmi.missingness import MODE_FRACTION
+from pvmi.pipeline import _round_variance
 
 SPEC = RegressorSpec("knn", {"k": 3})
+FAMILY_SPECS = {
+    "knn": SPEC,
+    "lasso": RegressorSpec("lasso", {"lam": 0.01}),
+    "mlp": RegressorSpec("mlp", {"hidden": (8, 4), "iterations": 40}, seed=2),
+}
+
+
+def reference_run_pipeline(train, test, spec, setup, n_rounds=5, seed=0, sampler_k=None):
+    """Reference oracle: the pipeline as one plain loop over rounds, in which
+    every round completes both series from scratch and predicts every test
+    row with one batch."""
+    b_total = 1 if setup == 1 else n_rounds
+    sampler = fit_sampler(train, k=sampler_k)
+    if setup in (1, 2):
+        train_ds = build_training(complete_series(train, sampler, "single"))
+        shared_model = fit(spec, train_ds)
+        shared_var = _round_variance(shared_model, train_ds)
+    means, variances = [], []
+    for b in range(1, b_total + 1):
+        rng = np.random.default_rng([seed, b])
+        if setup == 3:
+            train_ds = build_training(complete_series(train, sampler, "stochastic", rng))
+            model = fit(spec, train_ds)
+            var = _round_variance(model, train_ds)
+        else:
+            model, var = shared_model, shared_var
+        test_b = complete_series(test, sampler, "single" if setup == 1 else "stochastic", rng)
+        means.append(model.predict(build_training(test_b).inputs))
+        variances.append(var)
+    return [
+        rubin_pool([RoundPrediction(float(m[i]), float(v)) for m, v in zip(means, variances)])
+        for i in range(len(means[0]))
+    ]
+
+
+def gap_free_rows(test):
+    """True for each test row whose 24-hour input window holds no gap."""
+    return np.array([not test.mask[i:i + 24].any() for i in range(len(test) - 24)])
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +190,40 @@ def test_sampler_k_is_honoured(gappy_pair):
     assert fit_sampler(train, k=3).k == 3
     auto = fit_sampler(train, k=None)
     assert auto.k == fit_sampler(train).k
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+@pytest.mark.parametrize("setup", (1, 2, 3))
+@pytest.mark.parametrize("test_gaps", [True, False])
+def test_matches_the_per_round_reference(complete_pair, gappy_pair, family, setup, test_gaps):
+    # kNN rows do not depend on the batch they are predicted in; lasso and MLP
+    # rows may move by BLAS rounding, since setups 1-2 predict only the
+    # windows that hold a gap in each round
+    train = gappy_pair[0]
+    test = gappy_pair[1] if test_gaps else complete_pair[1]
+    spec = FAMILY_SPECS[family]
+    new = run_pipeline(train, test, spec, setup=setup, n_rounds=3, seed=4, sampler_k=5)
+    ref = reference_run_pipeline(train, test, spec, setup=setup, n_rounds=3, seed=4, sampler_k=5)
+    if family == "knn" or setup == 3:
+        assert new == ref
+        return
+    for name in ("mean", "within_var", "between_var", "total_var"):
+        got = np.array([getattr(p, name) for p in new])
+        want = np.array([getattr(p, name) for p in ref])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+    assert [p.n_rounds for p in new] == [p.n_rounds for p in ref]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+@pytest.mark.parametrize("setup", (1, 2))
+def test_gap_free_windows_have_exactly_zero_between_variance(gappy_pair, family, setup):
+    # the shared model's forecast of a window with no gap is the same in every
+    # round, so it must not pick up rounding noise from the batch it is in
+    train, test = gappy_pair
+    free = gap_free_rows(test)
+    assert 0 < free.sum() < free.size
+    pooled = run_pipeline(train, test, FAMILY_SPECS[family], setup=setup, n_rounds=4, seed=9)
+    between = np.array([p.between_var for p in pooled])
+    assert np.all(between[free] == 0.0)
+    if setup == 2:
+        assert np.any(between[~free] > 0.0)
