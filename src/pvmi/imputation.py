@@ -14,7 +14,20 @@ among them. Repeated completions of one series reuse the first step;
 
 The neighbourhood size k can be fixed or chosen automatically by
 leave-one-out mean squared error of the neighbourhood mean over a small
-geometric grid.
+geometric grid; :func:`select_k` stably sorts its pairs by irradiance first.
+
+The pairs are sorted by irradiance, so the k nearest pairs of a query are
+found without sorting all n of them: a binary search places the query, the
+k-th smallest distance ``dk`` comes from the 2k pairs around that place, and
+two more bisections bound the pairs at distance ``dk`` on the query's left.
+That is O(log n + k log k) per query in O(k) memory. Distance ties go to the
+smaller index, as a stable sort of all distances would put them. So every
+pair closer than ``dk`` is taken, and the rest are filled first from the
+pairs at distance exactly ``dk`` on the left, starting from the run's left
+end, then from those on the right. The k nearest pairs are therefore not
+always one contiguous window: when the cut-off falls inside a run of equal
+irradiances on the query's left, the run's leftmost members are taken, not
+the ones next to the query. Irradiances must be finite.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 from .series import HourlySeries
 
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
@@ -35,7 +48,7 @@ class ConditionalSampler:
     """Observed (irradiance, power) pairs sorted by irradiance, plus k.
 
     ``irradiance`` and ``power`` are aligned arrays in ascending irradiance
-    order; neighbour indices returned by :func:`neighbors` refer to positions
+    order, the irradiance finite; neighbour indices returned by :func:`neighbors` refer to positions
     in these arrays.
     """
 
@@ -48,6 +61,7 @@ class ConditionalSampler:
         pw = np.asarray(self.power, dtype=np.float64).copy()
         if irr.shape != pw.shape or irr.ndim != 1:
             raise ValueError("irradiance and power must be aligned 1-D arrays")
+        _require_finite(irr, "pair irradiance")
         if np.any(np.diff(irr) < 0):
             raise ValueError("pairs must be sorted by irradiance")
         if not 1 <= self.k <= irr.size:
@@ -72,7 +86,7 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
     k : int or None
         Neighbourhood size. None selects k by leave-one-out MSE over
         ``DEFAULT_K_GRID`` (restricted to valid sizes); an explicit k larger
-        than n-1 is clamped.
+        than the number n of pairs is clamped to n.
     """
     obs = ~train.mask
     irr = train.irradiance[obs]
@@ -105,6 +119,7 @@ def neighbors(sampler: ConditionalSampler, queries) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 1:
         raise ValueError("queries must be a 1-D array of irradiances")
+    _require_finite(queries, "query irradiance")
     out = np.empty((queries.size, sampler.k), dtype=np.int64)
     for lo, hi, order in _nearest_pairs(sampler.irradiance, queries, sampler.k):
         out[lo:hi] = np.sort(order, axis=1)
@@ -122,10 +137,16 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
 
     Each pair is predicted by the mean power of its k nearest irradiance
     neighbours among the remaining pairs; the grid value with the smallest
-    mean squared error wins, earlier grid entries winning ties.
+    mean squared error wins, earlier grid entries winning ties. The pairs
+    are stably sorted by irradiance first, so distance ties between
+    neighbours go to the pair earlier in irradiance order (caller order for
+    sorted pairs).
     """
     irr = np.asarray(irradiance, dtype=float)
     pw = np.asarray(power, dtype=float)
+    _require_finite(irr, "pair irradiance")
+    order = np.argsort(irr, kind="stable")
+    irr, pw = irr[order], pw[order]
     n = irr.size
     grid = [int(g) for g in grid]
     if n < 3:
@@ -203,15 +224,60 @@ def complete_series(
     return fill_gaps(series, sampler, gap_neighbors(series, sampler), mode, rng)
 
 
+def _require_finite(irradiance: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(irradiance)):
+        raise DomainError(f"{what} must be finite")
+
+
 def _nearest_pairs(irradiance: np.ndarray, queries: np.ndarray, kmax: int,
                    hold_out: bool = False):
     """Yield ``(lo, hi, order)`` per chunk of queries: ``order[j]`` lists the
     ``kmax`` pairs nearest to ``queries[lo + j]``, nearest first, distance
-    ties to the smaller index (stable sort). ``hold_out`` excludes pair
-    ``lo + j`` from query ``lo + j``'s neighbours (queries are the pairs)."""
+    ties to the smaller index. ``irradiance`` must be sorted. ``hold_out``
+    excludes pair ``lo + j`` from query ``lo + j``'s neighbours (queries are
+    the pairs): its ``kmax + 1`` nearest are found and the query's own index
+    is dropped, or the last of them when the own index is not among them."""
+    n = irradiance.size
+    take = kmax + int(hold_out)
+    width = min(n, 2 * take)
     for lo in range(0, queries.size, _CHUNK):
         hi = min(lo + _CHUNK, queries.size)
-        d = np.abs(irradiance[None, :] - queries[lo:hi, None])
+        q = queries[lo:hi]
+        # the 2*take pairs around the query hold its take nearest
+        start = np.minimum(np.maximum(np.searchsorted(irradiance, q) - take, 0), n - width)
+        dist = np.abs(irradiance[start[:, None] + np.arange(width)] - q[:, None])
+        near = np.argsort(dist, axis=1, kind="stable")
+        dk = dist[np.arange(hi - lo), near[:, take - 1]]
+        n_strict = np.sum(dist < dk[:, None], axis=1)
+        # pairs at distance exactly dk: [left, inner) left of the query,
+        # then from inner + n_strict on its right
+        left = _first_within(irradiance, q, dk)
+        inner = _first_within(irradiance, q, np.nextafter(dk, -np.inf))
+        t = np.arange(take) - n_strict[:, None]
+        n_left = (inner - left)[:, None]
+        order = np.where(
+            t < 0,
+            start[:, None] + near[:, :take],
+            np.where(t < n_left, left[:, None] + t, (inner + n_strict)[:, None] + t - n_left),
+        )
         if hold_out:
-            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        yield lo, hi, np.argsort(d, axis=1, kind="stable")[:, :kmax]
+            keep = order != np.arange(lo, hi)[:, None]
+            keep[keep.all(axis=1), -1] = False
+            order = order[keep].reshape(hi - lo, kmax)
+        yield lo, hi, order
+
+
+def _first_within(irradiance: np.ndarray, q: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per query, the first index i with ``q - irradiance[i] <= bound`` in
+    floating point. The difference falls as i grows. Every pair below the
+    float under ``q - nextafter(bound)`` fails the test and every pair from
+    the float over ``q - bound`` on passes it, so a bisection is left only
+    for the few pairs in between."""
+    lo = np.searchsorted(irradiance, np.nextafter(q - np.nextafter(bound, np.inf), -np.inf), "right")
+    hi = np.searchsorted(irradiance, np.nextafter(q - bound, np.inf), "left")
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok = (q - irradiance[np.minimum(mid, irradiance.size - 1)] <= bound) | (lo == hi)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return lo

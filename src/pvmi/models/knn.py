@@ -9,6 +9,14 @@ is its own nearest neighbour at distance zero, so its residual shrinks to
 ``(k-1)/k`` of the one an unseen input would get. ``loo_residual_variance``
 gives the honest figure by leaving each training row out of its own
 neighbourhood.
+
+Both searches compare a chunk of query rows with every training row at once.
+A chunk holds as many rows as fit ``_CHUNK_BYTES`` of squared distances, at
+least one, so memory stays flat however long the training record is; the
+distances are built in one buffer, which ``argpartition`` then reads. With
+OpenBLAS, gemm gives each row the same bits whatever the chunk's row count,
+but numpy multiplies a single row by gemv, which rounds differently; so a
+batch of two or more queries never ends in a one-row chunk.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from ..errors import InsufficientDataError
 from .scaling import FeatureScaler
 
-_QUERY_CHUNK = 512
+_CHUNK_BYTES = 1 << 20
 
 
 class KNNRegressor:
@@ -77,7 +85,14 @@ class KNNRegressor:
     def _distance_chunks(self, q: np.ndarray):
         """Yield ``(lo, hi, d2)``: squared distances from standardized query
         rows ``lo:hi`` to every training row."""
-        for lo in range(0, q.shape[0], _QUERY_CHUNK):
-            hi = min(lo + _QUERY_CHUNK, q.shape[0])
+        m = q.shape[0]
+        rows = max(1, _CHUNK_BYTES // (8 * self._x.shape[0]))
+        lo = 0
+        while lo < m:
+            hi = m if m - lo <= rows + 1 else lo + rows
             chunk = q[lo:hi]
-            yield lo, hi, (chunk ** 2).sum(axis=1)[:, None] - 2.0 * chunk @ self._x.T + self._x_sq
+            d2 = (2.0 * chunk) @ self._x.T
+            np.subtract((chunk ** 2).sum(axis=1)[:, None], d2, out=d2)
+            d2 += self._x_sq
+            yield lo, hi, d2
+            lo = hi

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvmi import ConditionalSampler, InsufficientDataError, complete_series, fit_sampler
-from pvmi.imputation import DEFAULT_K_GRID, neighbors, sample_power, select_k
+from pvmi import ConditionalSampler, DomainError, InsufficientDataError, complete_series, fit_sampler
+from pvmi.imputation import DEFAULT_K_GRID, _nearest_pairs, neighbors, sample_power, select_k
 from tests.conftest import make_series
 
 
@@ -52,6 +54,27 @@ def test_neighbor_ties_prefer_smaller_index():
     sampler = fit_sampler(s, k=1)
     idx = neighbors(sampler, [2.0])[0]
     assert sampler.power[idx].tolist() == [100.0]
+
+
+def test_neighbors_take_the_left_end_of_a_tied_run():
+    # the second-nearest distance 0.2 is shared by pair 3 (right) and the
+    # whole run of zeros (left); the smaller index wins, which is pair 0, at
+    # the far end of the run from the query
+    sampler = ConditionalSampler(np.array([0.0, 0.0, 0.0, 0.5]), np.arange(4.0), 2)
+    assert neighbors(sampler, [0.3]).tolist() == [[0, 3]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_irradiance_is_rejected(bad):
+    sampler = ConditionalSampler(np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]), 2)
+    with pytest.raises(DomainError, match="query irradiance"):
+        neighbors(sampler, [bad])
+    with pytest.raises(DomainError, match="query irradiance"):
+        neighbors(sampler, [0.2, bad])
+    with pytest.raises(DomainError, match="pair irradiance"):
+        ConditionalSampler(np.array([0.1, 0.2, bad]), np.array([1.0, 2.0, 3.0]), 2)
+    with pytest.raises(DomainError, match="pair irradiance"):
+        select_k(np.array([0.1, bad, 0.2, 0.3]), np.ones(4), [1, 2])
 
 
 def test_neighbors_sorted_ascending():
@@ -200,6 +223,65 @@ def tied_pairs(draw):
     return irr, power, rng
 
 
+def _nearest_pairs_oracle(irradiance, queries, kmax, hold_out=False):
+    """``(m, kmax)``: the kmax pairs nearest to each query, nearest first,
+    distance ties to the smaller index, by a stable argsort of every
+    distance; ``hold_out`` leaves pair j out of query j's neighbours."""
+    d = np.abs(irradiance[None, :] - queries[:, None])
+    if hold_out:
+        d[np.arange(queries.size), np.arange(queries.size)] = np.inf
+    return np.argsort(d, axis=1, kind="stable")[:, :kmax]
+
+
+@st.composite
+def search_cases(draw):
+    """Sorted pairs, a neighbourhood size and queries for the windowed
+    search: irradiance on a few tied levels with a run of night zeros, or
+    about 1e-17 apart around 0.5 so that distances tie by rounding."""
+    n = draw(st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        levels = draw(st.integers(1, 12))
+        irr = np.where(rng.random(n) < draw(st.floats(0.0, 0.95)), 0.0,
+                       rng.integers(1, levels + 1, n) / levels)
+        off_level = rng.random
+    else:
+        irr = 0.5 + rng.integers(-3, 4, n) * 1e-17
+        off_level = lambda m: 0.5 + rng.integers(-5, 6, m) * 1e-17  # noqa: E731
+    irr = np.sort(irr)
+    hold_out = n >= 2 and draw(st.booleans())
+    kmax = 1 + int(draw(st.floats(0.0, 1.0)) * (n - 1 - hold_out))
+    if hold_out:
+        queries = irr
+    else:
+        m = draw(st.integers(1, 600))
+        queries = np.where(rng.random(m) < 0.6, rng.choice(irr, m), off_level(m))
+    return irr, queries, kmax, hold_out
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=search_cases())
+def test_windowed_search_matches_the_stable_argsort(case):
+    irr, queries, kmax, hold_out = case
+    found = np.vstack([order for _, _, order in _nearest_pairs(irr, queries, kmax, hold_out)])
+    assert np.array_equal(found, _nearest_pairs_oracle(irr, queries, kmax, hold_out))
+
+
+def test_select_k_peak_memory_stays_flat():
+    # the observed pairs of a year-long record; their full distance matrix
+    # alone is 170 MB
+    rng = np.random.default_rng(4)
+    irr = np.sort(np.where(rng.random(4620) < 0.3, 0.0, rng.random(4620)))
+    power = 3.0 * irr + rng.normal(0.0, 0.2, irr.size)
+    tracemalloc.start()
+    try:
+        select_k(irr, power, DEFAULT_K_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def _neighbors_oracle(irr, k, query):
     """The k nearest pairs of one query by a stable argsort, index order."""
     return np.sort(np.argsort(np.abs(irr - query), kind="stable")[:k])
@@ -224,7 +306,10 @@ def test_chunked_neighbor_matrix_matches_single_queries(data, k_share, m):
 def test_select_k_matches_oracle_under_ties(data):
     irr, power, _ = data
     grid = [g for g in DEFAULT_K_GRID if g <= irr.size - 1]
-    oracle = _loo_mse_oracle(irr, power, grid)
+    # select_k sorts the pairs stably by irradiance, so distance ties go to
+    # the pair earlier in that order
+    order = np.argsort(irr, kind="stable")
+    oracle = _loo_mse_oracle(irr[order], power[order], grid)
     chosen = select_k(irr, power, grid)
     # the oracle averages and sums in another order, so errors that tie
     # exactly in select_k may differ here in the last bits: the pick must be

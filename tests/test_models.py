@@ -1,5 +1,7 @@
 """Regressor families, shared scaling, and chronological tuning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from pvmi.models import (
     residual_variance,
     tune_chronological,
 )
+from pvmi.models import knn
 from pvmi.models.mlp import init_params, loss_and_grads
 
 
@@ -155,7 +158,7 @@ def test_knn_rejects_bad_k(rng):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_knn_loo_variance_matches_brute_force(rng, k):
-    # 600 rows span two query chunks of the distance pass
+    # 600 rows span three query chunks of the distance pass
     data = make_dataset(rng, 600)
     xs = (data.inputs - data.inputs.mean(axis=0)) / data.inputs.std(axis=0)
     sq = []
@@ -173,6 +176,31 @@ def test_knn_loo_variance_excludes_self_among_tied_inputs():
     # neighbour is the other row, so both leave-one-out residuals are 2
     model = KNNRegressor.fit(np.zeros((2, 48)), np.array([4.0, 6.0]), k=1)
     assert model.loo_residual_variance() == 4.0
+
+
+def test_knn_results_do_not_depend_on_the_chunk_size(pv_windows, monkeypatch):
+    x, y = pv_windows
+    model = KNNRegressor.fit(x[:300], y[:300], k=4)
+    queries = np.vstack([x[300:], x[:20]])  # 20 rows that are training rows
+    expected = model.predict(queries), model.loo_residual_variance()
+    for budget in (8 * 300, 8 * 300 * 300):  # one row, every row
+        monkeypatch.setattr(knn, "_CHUNK_BYTES", budget)
+        assert np.array_equal(model.predict(queries), expected[0])
+        assert model.loo_residual_variance() == expected[1]
+
+
+def test_knn_peak_memory_stays_flat(rng):
+    # a year of hourly windows; one full distance matrix would be 350 MB
+    x = rng.normal(size=(6600, 48))
+    model = KNNRegressor.fit(x, rng.normal(size=6600), k=8)
+    tracemalloc.start()
+    try:
+        model.loo_residual_variance()
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_knn_loo_variance_needs_k_below_n(rng):
