@@ -22,6 +22,14 @@ model), and writes three artifacts into the output directory:
     per-hour detail (truth, mask, pooled moments, interval bounds, covered
     flag) for each cell, sufficient to re-aggregate the summary.
 
+Each cell is pooled, cut, scored and written as arrays, one call per step.
+The CSVs hold ``repr`` of every float, so they round-trip exactly; their
+columns are formatted once where they are shared: hour, truth and mask once
+per run, the four pooled moments once per pipeline (its normal and gamma
+cells share them), and only the bounds and covered flag per cell.
+:func:`reaggregate` reads each CSV back into column arrays and scores them
+with the same :func:`~pvmi.metrics.score` that :func:`run` uses.
+
 Cell failures are recorded as failure markers instead of aborting the grid;
 after all cells ran, an :class:`ExperimentError` reports them.
 """
@@ -29,7 +37,6 @@ after all cells ran, an :class:`ExperimentError` reports them.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -40,8 +47,8 @@ from . import __version__, models
 from .errors import ExperimentError
 from .features import WINDOW_HOURS
 from .imputation import fit_sampler
-from .intervals import PredictionInterval, gamma_interval, normal_interval
-from .metrics import evaluate
+from .intervals import gamma_bounds, normal_bounds
+from .metrics import EvalReport, score, target_truths
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
 from .pipeline import Completions, Pipeline
 from .series import HourlySeries, parse_csv, split_chronological
@@ -244,9 +251,10 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     pipelines = [Pipeline(completions, spec) for spec in resolved_specs]
 
     truth_restored = test_truth.restore(test) if test_truth is not None else test
+    hour_fields = _hour_fields(test, truth_restored)
 
     labels = model_labels(config)
-    pipeline_cache: dict[str, list] = {}
+    pipeline_cache: dict[str, tuple] = {}
     summary_cells: list[dict] = []
     manifest_cells: list[dict] = []
     failures: list[str] = []
@@ -262,21 +270,16 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
         }
         try:
             if cell.pipeline_id not in pipeline_cache:
-                pipeline_cache[cell.pipeline_id] = pipelines[cell.model_index].pool(
-                    cell.setup, b_run, seed)
-            pooled = pipeline_cache[cell.pipeline_id]
-            intervals = _cell_intervals(pooled, cell.interval_family, config)
-            scores = evaluate(intervals, [p.mean for p in pooled], test, config.alpha)
-            width = float(np.mean([iv.width() for iv in intervals]))
+                pooled = pipelines[cell.model_index].pool(cell.setup, b_run, seed)
+                pipeline_cache[cell.pipeline_id] = pooled, _moment_fields(hour_fields, pooled)
+            pooled, moment_fields = pipeline_cache[cell.pipeline_id]
+            lower, upper = _BOUNDS[cell.interval_family](pooled.mean, pooled.total_var,
+                                                         config.alpha)
+            scores = score(lower, upper, pooled.mean,
+                           target_truths(test, pooled.mean.size), config.alpha)
             csv_name = f"cells/cell_{cell.cell_id}.csv"
-            _write_cell_csv(out / csv_name, pooled, intervals, test, truth_restored)
-            record.update(
-                status="ok",
-                coverage=_round(scores.coverage),
-                nrmse=_round(scores.nrmse),
-                n_evaluated=scores.n_evaluated,
-                mean_width=_round(width),
-            )
+            _write_cell_csv(out / csv_name, moment_fields, lower, upper, truth_restored)
+            record.update(status="ok", **_score_fields(scores))
             manifest_cells.append(
                 {"id": cell.cell_id, "file": csv_name, "seed": seed, **{
                     k: record[k] for k in ("setup", "model", "n_rounds", "interval_family")
@@ -330,28 +333,15 @@ def reaggregate(output_dir: str | Path) -> dict:
     original = json.loads((out / "summary.json").read_text())
     cells = []
     for entry in manifest["cells"]:
-        rows = _read_cell_csv(out / entry["file"])
-        obs = [r for r in rows if r["mask"] == 0]
-        if not obs:
-            continue
-        covered = sum(r["covered"] for r in obs) / len(obs)
-        y_max = max(r["truth"] for r in obs)
-        rmse = math.sqrt(sum((r["pooled_mean"] - r["truth"]) ** 2 for r in obs) / len(obs))
-        # widths average over every target hour, observed or not, like run()
-        width = float(np.mean([r["upper"] - r["lower"] for r in rows]))
-        cells.append(
-            {
-                "setup": entry["setup"],
-                "model": entry["model"],
-                "n_rounds": entry["n_rounds"],
-                "interval_family": entry["interval_family"],
-                "status": "ok",
-                "coverage": _round(covered),
-                "nrmse": _round(rmse / y_max),
-                "n_evaluated": len(obs),
-                "mean_width": _round(width),
-            }
-        )
+        cols = _read_cell_csv(out / entry["file"])
+        truth = np.where(cols["mask"] == 0, cols["truth"], np.nan)  # scored hours only
+        scores = score(cols["lower"], cols["upper"], cols["pooled_mean"], truth,
+                       original["alpha"])
+        cells.append({
+            **{k: entry[k] for k in ("setup", "model", "n_rounds", "interval_family")},
+            "status": "ok",
+            **_score_fields(scores),
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "alpha": original["alpha"],
@@ -393,56 +383,71 @@ def _resolve_models(config: ExperimentConfig, completions: Completions):
     return specs, tuned
 
 
-def _cell_intervals(pooled, interval_family: str, config: ExperimentConfig
-                    ) -> list[PredictionInterval]:
-    if interval_family == "normal":
-        return [normal_interval(p.mean, p.total_var, config.alpha) for p in pooled]
-    return [gamma_interval(p.mean, max(p.total_var, 0.0), config.alpha) for p in pooled]
+_BOUNDS = {"normal": normal_bounds, "gamma": gamma_bounds}
+
+
+def _score_fields(scores: EvalReport) -> dict:
+    """A cell's metrics as ``summary.json`` records them."""
+    return {
+        "coverage": _round(scores.coverage),
+        "nrmse": _round(scores.nrmse),
+        "n_evaluated": scores.n_evaluated,
+        "mean_width": _round(scores.mean_width),
+    }
 
 
 _CSV_HEADER = ("t,truth,mask,pooled_mean,within_var,between_var,total_var,"
                "lower,upper,covered")
 
 
-def _write_cell_csv(path: Path, pooled, intervals, test: HourlySeries,
-                    truth_restored: HourlySeries) -> None:
-    lines = [_CSV_HEADER]
-    for i, (p, iv) in enumerate(zip(pooled, intervals)):
-        t = WINDOW_HOURS + i  # target hour, 0-based index into the test series
-        known = not truth_restored.mask[t]
-        truth = repr(float(truth_restored.power[t])) if known else ""
-        covered = ""
-        if known:
-            covered = str(int(iv.lower <= truth_restored.power[t] <= iv.upper))
-        lines.append(
-            f"{t},{truth},{int(test.mask[t])},{p.mean!r},{p.within_var!r},"
-            f"{p.between_var!r},{p.total_var!r},{iv.lower!r},{iv.upper!r},{covered}"
-        )
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+def _hour_fields(test: HourlySeries, truth_restored: HourlySeries) -> list[str]:
+    """The ``t,truth,mask`` fields of each cell CSV row; ``t`` is the target
+    hour, a 0-based index into the test series."""
+    hours = range(WINDOW_HOURS, len(test))
+    truth = truth_restored.power[WINDOW_HOURS:].tolist()
+    known = (~truth_restored.mask[WINDOW_HOURS:]).tolist()
+    mask = test.mask[WINDOW_HOURS:].astype(int).tolist()
+    return [f"{t},{y!r},{m}" if k else f"{t},,{m}"
+            for t, y, k, m in zip(hours, truth, known, mask)]
 
 
-def _read_cell_csv(path: Path) -> list[dict]:
-    lines = path.read_text().strip().splitlines()
-    if lines[0] != _CSV_HEADER:
+def _moment_fields(hour_fields: list[str], pooled) -> list[str]:
+    """Each row's fields up to ``total_var``: the hour fields and the
+    pooled moments."""
+    return [f"{h},{m!r},{w!r},{b!r},{t!r}" for h, m, w, b, t in zip(
+        hour_fields, pooled.mean.tolist(), pooled.within_var.tolist(),
+        pooled.between_var.tolist(), pooled.total_var.tolist())]
+
+
+def _write_cell_csv(path: Path, moment_fields: list[str], lower: np.ndarray,
+                    upper: np.ndarray, truth_restored: HourlySeries) -> None:
+    truth = truth_restored.power[WINDOW_HOURS:]
+    covered = np.where(truth_restored.mask[WINDOW_HOURS:], "",
+                       np.where((lower <= truth) & (truth <= upper), "1", "0"))
+    rows = [f"{f},{lo!r},{up!r},{c}" for f, lo, up, c in zip(
+        moment_fields, lower.tolist(), upper.tolist(), covered.tolist())]
+    _write_text_atomic(path, "\n".join([_CSV_HEADER, *rows]) + "\n")
+
+
+_CSV_COLUMNS = _CSV_HEADER.split(",")
+_SCORED_COLUMNS = ("truth", "mask", "pooled_mean", "lower", "upper")
+
+
+def _read_cell_csv(path: Path) -> dict[str, np.ndarray]:
+    """The columns of a cell CSV that :func:`reaggregate` scores, one float
+    array each; an unknown truth reads as NaN. ``float`` parses each
+    ``repr`` back to the same double."""
+    header, _, body = path.read_text().partition("\n")
+    if header != _CSV_HEADER:
         raise ValueError(f"{path}: unexpected cell CSV header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append(
-            {
-                "t": int(cells[0]),
-                "truth": float(cells[1]) if cells[1] else None,
-                "mask": int(cells[2]),
-                "pooled_mean": float(cells[3]),
-                "within_var": float(cells[4]),
-                "between_var": float(cells[5]),
-                "total_var": float(cells[6]),
-                "lower": float(cells[7]),
-                "upper": float(cells[8]),
-                "covered": int(cells[9]) if cells[9] else None,
-            }
-        )
-    return rows
+    fields = body.replace("\n", ",").split(",")[:-1]  # the text ends in a newline
+    width = len(_CSV_COLUMNS)
+    if len(fields) % width:
+        raise ValueError(f"{path}: a row does not have {width} fields")
+    return {
+        name: np.array([float(v or "nan") for v in fields[_CSV_COLUMNS.index(name)::width]])
+        for name in _SCORED_COLUMNS
+    }
 
 
 def _config_echo(config: ExperimentConfig) -> dict:

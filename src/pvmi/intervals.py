@@ -12,6 +12,17 @@ quantile is implemented here: it inverts the regularized lower incomplete
 gamma function (power series below a+1, continued fraction above) by
 Newton's method on log x, safeguarded by bisection inside a bracket that two
 closed-form bounds give.
+
+Two layers share these algorithms. The scalar functions
+(:func:`normal_interval`, :func:`gamma_interval`, :func:`gamma_quantile`,
+:func:`regularized_gamma_p`) cut one hour's interval. The array kernels
+:func:`normal_bounds` and :func:`gamma_bounds` cut every hour of a cell in
+one call: they run the scalar algorithm elementwise, iterating the series,
+the continued fraction and the Newton steps only over the elements still
+active, and call the same libm ``exp``, ``log`` and ``lgamma`` through
+``math`` (numpy's SIMD ``exp``/``log`` round differently). Every other step
+is an IEEE-exact array operation, so each array bound equals the scalar
+function's bit for bit; the scalar functions are the kernels' test oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+
+import numpy as np
 
 # --------------------------------------------------------------------------
 # normal CDF / inverse CDF
@@ -213,3 +226,187 @@ def gamma_shape_scale(mean: float, variance: float) -> tuple[float, float]:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+
+
+# --------------------------------------------------------------------------
+# array kernels: the scalar algorithms above, elementwise over a cell's hours
+
+def normal_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of :func:`normal_interval` for every element."""
+    _check_alpha(alpha)
+    mean = np.asarray(mean, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance < 0.0):
+        raise ValueError("variance must be non-negative")
+    half = inverse_normal_cdf(1.0 - alpha / 2.0) * np.sqrt(variance)
+    return _checked(mean - half, mean + half)
+
+
+def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of :func:`gamma_interval` for every element:
+    [0, 0] where the mean is not positive, [mean, mean] where the variance is
+    0, the gamma quantiles elsewhere.
+
+    Raises
+    ------
+    ArithmeticError
+        If the quantile search of any element does not converge.
+    """
+    _check_alpha(alpha)
+    mean = np.asarray(mean, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    positive = mean > 0.0
+    if np.any(variance[positive] < 0.0):
+        raise ValueError("variance must be non-negative")
+    lower = np.where(positive, mean, 0.0)
+    upper = lower.copy()
+    cut = positive & (variance != 0.0)
+    m, v = mean[cut], variance[cut]
+    shape, scale = m * m / v, v / m  # gamma_shape_scale
+    n = shape.size
+    q = _gamma_quantiles(np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], n),
+                         np.tile(shape, 2), np.tile(scale, 2))
+    lower[cut], upper[cut] = q[:n], q[n:]
+    return _checked(lower, upper)
+
+
+def _checked(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of :class:`PredictionInterval`, for arrays of bounds."""
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("interval bounds must not be NaN")
+    if np.any(lower > upper):
+        raise ValueError("a lower bound exceeds its upper bound")
+    return lower, upper
+
+
+def _libm(fn, v: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied to every element of ``v``."""
+    return np.fromiter(map(fn, v.tolist()), float, v.size)
+
+
+def _gamma_quantiles(p: np.ndarray, a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """:func:`gamma_quantile` for every element of the equal-length arrays
+    ``p`` (in (0, 1)), ``a`` and ``scale`` (positive)."""
+    n = a.size
+    lgamma_a = _libm(math.lgamma, a)
+    t_floor = _LOG_TINY + np.maximum(0.0, -_libm(math.log, scale))
+    t_lo = np.maximum((_libm(math.log, p) + _libm(math.lgamma, a + 1.0)) / a, t_floor)
+    t_hi = _libm(math.log, a + np.sqrt(a * p / (1.0 - p)))
+    z = np.empty(n)
+    for q in set(p.tolist()):
+        z[p == q] = inverse_normal_cdf(q)
+    g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
+    x = a * g * g * g
+    t = np.full(n, math.nan)
+    t[x > 0.0] = _libm(math.log, x[x > 0.0])
+    t = np.where((t_lo < t) & (t < t_hi), t, 0.5 * (t_lo + t_hi))
+
+    out = np.empty(n)
+    idx = np.arange(n)  # the elements still searching
+    tol = 1e-8
+    for _ in range(200):
+        x = _libm(math.exp, t)
+        f = _regularized_gamma_p(a, x, lgamma_a) - p
+        if np.isnan(f).any():
+            raise ArithmeticError("gamma quantile search failed (CDF is NaN)")
+        done = np.abs(f) <= tol
+        out[idx[done]] = x[done] * scale[done]
+        active = ~done
+        idx, p, a, scale, lgamma_a, t_floor, t_lo, t_hi, t, x, f = (
+            v[active] for v in (idx, p, a, scale, lgamma_a, t_floor, t_lo, t_hi, t, x, f))
+        if idx.size == 0:
+            return out
+        t_hi = np.where(f > 0.0, t, t_hi)
+        t_lo = np.where(f < 0.0, t, t_lo)
+        dp_dt = _libm(math.exp, a * t - x - lgamma_a)  # x * pdf(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(dp_dt > 0.0, t - f / dp_dt, math.nan)
+        bisect = ~((t_lo < t) & (t < t_hi))
+        mid = 0.5 * (t_lo + t_hi)
+        t = np.where(bisect, mid, t)
+        stuck = bisect & ((mid == t_lo) | (mid == t_hi))  # no double left inside
+        if stuck.any():
+            out[idx[stuck]] = np.where(t_lo[stuck] == t_floor[stuck], math.ulp(0.0),
+                                       _libm(math.exp, t_hi[stuck]) * scale[stuck])
+            active = ~stuck
+            idx, p, a, scale, lgamma_a, t_floor, t_lo, t_hi, t = (
+                v[active] for v in (idx, p, a, scale, lgamma_a, t_floor, t_lo, t_hi, t))
+            if idx.size == 0:
+                return out
+    raise ArithmeticError(f"gamma quantile search failed for {idx.size} element(s)")
+
+
+def _regularized_gamma_p(a: np.ndarray, x: np.ndarray, lgamma_a: np.ndarray) -> np.ndarray:
+    """:func:`regularized_gamma_p` for every element; ``x >= 0``."""
+    out = np.zeros(a.size)  # P(a, 0) = 0
+    series = (x != 0.0) & (x < a + 1.0)
+    contfrac = (x != 0.0) & ~series
+    if series.any():
+        a_s, x_s = a[series], x[series]
+        out[series] = _gamma_p_series_terms(a_s, x_s) * _prefactor(a_s, x_s, lgamma_a[series])
+    if contfrac.any():
+        a_c, x_c = a[contfrac], x[contfrac]
+        out[contfrac] = 1.0 - (_gamma_q_contfrac_terms(a_c, x_c)
+                               * _prefactor(a_c, x_c, lgamma_a[contfrac]))
+    return out
+
+
+def _prefactor(a: np.ndarray, x: np.ndarray, lgamma_a: np.ndarray) -> np.ndarray:
+    """``x^a e^-x / Gamma(a)``, as the scalar series and fraction compute it."""
+    return _libm(math.exp, -x + a * _libm(math.log, x) - lgamma_a)
+
+
+def _gamma_p_series_terms(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The power series of :func:`_gamma_p_series`, without its prefactor,
+    summed for each element until its own stopping rule holds."""
+    ap = a.copy()
+    term = 1.0 / a
+    total = term.copy()
+    out = np.empty(a.size)
+    idx = np.arange(a.size)
+    for _ in range(_GAMMA_ITMAX):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        done = np.abs(term) < np.abs(total) * _GAMMA_EPS
+        if done.any():
+            out[idx[done]] = total[done]
+            active = ~done
+            idx, ap, term, total, x = (v[active] for v in (idx, ap, term, total, x))
+            if idx.size == 0:
+                return out
+    out[idx] = total
+    return out
+
+
+def _gamma_q_contfrac_terms(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of :func:`_gamma_q_contfrac`, without its
+    prefactor, evaluated for each element until its own stopping rule holds."""
+    b = x + 1.0 - a
+    c = np.full(a.size, 1.0 / _FPMIN)
+    with np.errstate(divide="ignore"):
+        d = np.where(b != 0.0, 1.0 / b, 1.0 / _FPMIN)
+    h = d.copy()
+    out = np.empty(a.size)
+    idx = np.arange(a.size)
+    for i in range(1, _GAMMA_ITMAX + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < _FPMIN] = _FPMIN
+        c = b + an / c
+        c[np.abs(c) < _FPMIN] = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < _GAMMA_EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            active = ~done
+            idx, a, b, c, d, h = (v[active] for v in (idx, a, b, c, d, h))
+            if idx.size == 0:
+                return out
+    out[idx] = h
+    return out

@@ -13,10 +13,18 @@ neighbourhood.
 Both searches compare a chunk of query rows with every training row at once.
 A chunk holds as many rows as fit ``_CHUNK_BYTES`` of squared distances, at
 least one, so memory stays flat however long the training record is; the
-distances are built in one buffer, which ``argpartition`` then reads. With
-OpenBLAS, gemm gives each row the same bits whatever the chunk's row count,
-but numpy multiplies a single row by gemv, which rounds differently; so a
-batch of two or more queries never ends in a one-row chunk.
+distances are built in one buffer, which ``argpartition`` then reads.
+
+The bits of a matrix product depend on its shape: numpy multiplies a single
+row by gemv, and OpenBLAS picks a different gemm kernel for a product with
+few rows (on AVX-512 builds, a "small matrix" kernel), each rounding
+differently. So a short last chunk is padded with zero rows to the full
+chunk's row count, every product of one model has the same shape, and a
+query's distances, hence its neighbours at a near tie, do not depend on how
+many queries its batch holds: ``predict(x[i:i+1])`` equals
+``predict(x)[i]``. One exception remains: the distances to the last few
+training rows (the kernel's remainder block; 4 of 2700 on one AVX-512
+build) can round differently by the query's position in its chunk.
 """
 
 from __future__ import annotations
@@ -85,14 +93,14 @@ class KNNRegressor:
     def _distance_chunks(self, q: np.ndarray):
         """Yield ``(lo, hi, d2)``: squared distances from standardized query
         rows ``lo:hi`` to every training row."""
-        m = q.shape[0]
+        m, d = q.shape
         rows = max(1, _CHUNK_BYTES // (8 * self._x.shape[0]))
-        lo = 0
-        while lo < m:
-            hi = m if m - lo <= rows + 1 else lo + rows
+        for lo in range(0, m, rows):
+            hi = min(m, lo + rows)
             chunk = q[lo:hi]
-            d2 = (2.0 * chunk) @ self._x.T
-            np.subtract((chunk ** 2).sum(axis=1)[:, None], d2, out=d2)
+            if hi - lo < rows:  # one product shape for every chunk
+                chunk = np.concatenate([chunk, np.zeros((rows - (hi - lo), d))])
+            d2 = ((2.0 * chunk) @ self._x.T)[: hi - lo]
+            np.subtract((q[lo:hi] ** 2).sum(axis=1)[:, None], d2, out=d2)
             d2 += self._x_sq
             yield lo, hi, d2
-            lo = hi

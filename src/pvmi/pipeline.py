@@ -38,7 +38,11 @@ draws one completion (one ``rng.integers(0, k, size=m)`` call per series)
 and predicts, in setups 1-2, only the test rows whose window holds a gap; in
 setup 3 it fits the round's own model and predicts every row. A gap-free row
 is predicted once, in one batch, and every round reuses that forecast, so
-its between-round variance is exactly zero.
+its rounds agree exactly (its between-round variance is zero, or about
+1e-32 where the exactly rounded B-fold sum divided by B misses the shared
+value by an ulp). Each round's forecasts form one
+array :class:`~pvmi.pooling.RoundPrediction`, and one ``rubin_pool`` call
+pools every hour of the cell.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ def run_pipeline(
         which leaves no leave-one-out residual variance.
     """
     sampler = fit_sampler(train, k=sampler_k)
-    return Pipeline(Completions(train, test, sampler), spec).pool(setup, n_rounds, seed)
+    return Pipeline(Completions(train, test, sampler), spec).pool(setup, n_rounds, seed).hours()
 
 
 class Completions:
@@ -165,9 +169,10 @@ class Pipeline:
         c = self.completions
         return self.shared[0].predict(c.test_single().inputs[~c.gap_rows])
 
-    def pool(self, setup: int, n_rounds: int, seed: int) -> list[PooledPrediction]:
+    def pool(self, setup: int, n_rounds: int, seed: int) -> PooledPrediction:
         """:func:`run_pipeline`'s rounds and pooling, for this spec and the
-        sampler of :attr:`completions`."""
+        sampler of :attr:`completions`: one array pooling, each moment with
+        one entry per test hour."""
         if setup not in SETUPS:
             raise ValueError(f"setup must be one of {SETUPS}, got {setup}")
         if n_rounds < 1:
@@ -179,8 +184,7 @@ class Pipeline:
             free_means = self.gap_free_means
             gap = c.gap_rows
 
-        round_means: list[np.ndarray] = []
-        round_vars: list[float] = []
+        rounds: list[RoundPrediction] = []
         for b in range(1, b_total + 1):
             rng = np.random.default_rng([seed, b])
             if setup == 3:
@@ -194,17 +198,8 @@ class Pipeline:
                 means = np.empty(gap.size)
                 means[~gap] = free_means
                 means[gap] = model.predict(inputs)
-            round_means.append(means)
-            round_vars.append(float(var))
-
-        means = np.stack(round_means)  # (B, n_hours)
-        return [
-            rubin_pool([
-                RoundPrediction(mean=float(means[b, i]), variance=round_vars[b])
-                for b in range(b_total)
-            ])
-            for i in range(means.shape[1])
-        ]
+            rounds.append(RoundPrediction(mean=means, variance=float(var)))
+        return rubin_pool(rounds)
 
 
 def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> float:

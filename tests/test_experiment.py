@@ -1,23 +1,49 @@
 """Experiment grid driver, its artifacts, and the command-line front end."""
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from pvmi import ExperimentError, MissingSpec, SynthSpec, generate, parse_csv, write_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pvmi import (
+    ExperimentError,
+    HourlySeries,
+    MissingSpec,
+    RegressorSpec,
+    SynthSpec,
+    fit_sampler,
+    gamma_interval,
+    generate,
+    inject_missing,
+    normal_interval,
+    parse_csv,
+    split_chronological,
+    write_csv,
+)
 from pvmi.cli import main
 from pvmi.experiment import (
+    _BOUNDS,
+    _CSV_HEADER,
     Cell,
     ExperimentConfig,
     ModelConfig,
+    _hour_fields,
+    _moment_fields,
+    _read_cell_csv,
+    _write_cell_csv,
     config_from_json,
     enumerate_cells,
     model_labels,
     reaggregate,
     run,
 )
+from pvmi.features import WINDOW_HOURS
+from pvmi.pipeline import Completions, Pipeline
 
 KNN2 = ModelConfig("knn", {"k": 2})
 
@@ -301,6 +327,107 @@ def test_reaggregate_matches_original_summary(run_dir):
     for cell in rebuilt["cells"]:
         # every field, bitwise: the CSVs carry full-precision bounds
         assert cell == originals[key(cell)]
+
+
+# The per-row cell CSV writer and reader that the array path replaced; kept
+# as the reference oracle for the bytes written and the values read back.
+
+
+def _write_cell_csv_oracle(path, pooled, intervals, test, truth_restored):
+    lines = [_CSV_HEADER]
+    for i, (p, iv) in enumerate(zip(pooled, intervals)):
+        t = WINDOW_HOURS + i  # target hour, 0-based index into the test series
+        known = not truth_restored.mask[t]
+        truth = repr(float(truth_restored.power[t])) if known else ""
+        covered = ""
+        if known:
+            covered = str(int(iv.lower <= truth_restored.power[t] <= iv.upper))
+        lines.append(
+            f"{t},{truth},{int(test.mask[t])},{p.mean!r},{p.within_var!r},"
+            f"{p.between_var!r},{p.total_var!r},{iv.lower!r},{iv.upper!r},{covered}"
+        )
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _read_cell_csv_oracle(path):
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == _CSV_HEADER
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        rows.append(
+            {
+                "t": int(cells[0]),
+                "truth": float(cells[1]) if cells[1] else None,
+                "mask": int(cells[2]),
+                "pooled_mean": float(cells[3]),
+                "within_var": float(cells[4]),
+                "between_var": float(cells[5]),
+                "total_var": float(cells[6]),
+                "lower": float(cells[7]),
+                "upper": float(cells[8]),
+                "covered": int(cells[9]) if cells[9] else None,
+            }
+        )
+    return rows
+
+
+@pytest.fixture(scope="module")
+def cell_inputs():
+    """A test series with nights, injected gaps (truth restored) and hours
+    missing in the record itself (truth unknown), pooled over 3 rounds."""
+    train, test = split_chronological(generate(SynthSpec(days=8, seed=3)), test_len=72)
+    power = test.power.copy()
+    power[[30, 31, 50]] = np.nan  # lost for good: no truth to restore
+    test = HourlySeries(test.start, power, test.irradiance)
+    test, truth = inject_missing(test, MissingSpec("target-fraction", target_fraction=0.2,
+                                                   block_len_hours=6, seed=2))
+    restored = truth.restore(test)
+    completions = Completions(train, test, fit_sampler(train, k=2))
+    pooled = Pipeline(completions, RegressorSpec("knn", {"k": 2})).pool(2, 3, seed=5)
+    assert test.mask[WINDOW_HOURS:].sum() > 3 and restored.mask[WINDOW_HOURS:].sum() == 3
+    assert np.any(pooled.mean <= 0.0) and np.any(pooled.mean > 0.0)  # nights and days
+    return test, restored, pooled
+
+
+@pytest.mark.parametrize("family", ["normal", "gamma"])
+def test_cell_csv_bytes_equal_the_per_row_oracle(cell_inputs, family, tmp_path):
+    test, restored, pooled = cell_inputs
+    lower, upper = _BOUNDS[family](pooled.mean, pooled.total_var, 0.1)
+    _write_cell_csv(tmp_path / "cell.csv", _moment_fields(_hour_fields(test, restored), pooled),
+                    lower, upper, restored)
+    scalar = normal_interval if family == "normal" else gamma_interval
+    hours = pooled.hours()
+    _write_cell_csv_oracle(tmp_path / "oracle.csv", hours,
+                           [scalar(p.mean, p.total_var, 0.1) for p in hours], test, restored)
+    written = (tmp_path / "cell.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert b",,1," in written and b",1\n" in written and b",0\n" in written
+
+    columns = _read_cell_csv(tmp_path / "cell.csv")
+    rows = _read_cell_csv_oracle(tmp_path / "oracle.csv")
+    for name, values in columns.items():
+        want = [math.nan if r[name] is None else r[name] for r in rows]
+        np.testing.assert_array_equal(values, want)  # NaN matches NaN
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_cell_csv_round_trips_every_double(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("csv") / "cell.csv"
+    rows = [f"{24 + i},{v!r},0,{v!r},{v!r},{v!r},{v!r},{v!r},{v!r},1"
+            for i, v in enumerate(values)]
+    path.write_text("\n".join([_CSV_HEADER, *rows]) + "\n")
+    columns = _read_cell_csv(path)
+    for name in ("truth", "pooled_mean", "lower", "upper"):
+        assert columns[name].tolist() == values  # float() inverts repr exactly
+
+
+def test_cell_csv_reader_rejects_a_short_row(tmp_path):
+    path = tmp_path / "cell.csv"
+    path.write_text(_CSV_HEADER + "\n24,1.0,0,1.0\n")
+    with pytest.raises(ValueError, match="fields"):
+        _read_cell_csv(path)
 
 
 def test_failing_cells_are_isolated(tmp_path):

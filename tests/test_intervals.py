@@ -12,9 +12,11 @@ from scipy import integrate, optimize, special, stats
 import pvmi.intervals
 from pvmi import PredictionInterval, gamma_interval, normal_cdf, normal_interval
 from pvmi.intervals import (
+    gamma_bounds,
     gamma_quantile,
     gamma_shape_scale,
     inverse_normal_cdf,
+    normal_bounds,
     regularized_gamma_p,
 )
 
@@ -257,3 +259,67 @@ def test_interval_rejects_inverted_or_nan_bounds():
         PredictionInterval(2.0, 1.0)
     with pytest.raises(ValueError, match="NaN"):
         PredictionInterval(float("nan"), 1.0)
+
+
+# ------------------------------------------------ array kernels vs scalar
+
+
+def _moments(log_shape, log_scale):
+    shape, scale = math.exp(log_shape), math.exp(log_scale)
+    return shape * scale, shape * scale * scale
+
+
+_HOUR = st.one_of(
+    # a gamma law with shape 1e-8 .. 1e6 and scale 1e-6 .. 1e3
+    st.builds(_moments, st.floats(math.log(1e-8), math.log(1e6)),
+              st.floats(math.log(1e-6), math.log(1e3))),
+    st.tuples(st.floats(-5.0, 0.0), st.floats(0.0, 5.0)),  # mean <= 0
+    st.tuples(st.floats(1e-6, 5.0), st.just(0.0)),  # variance 0
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hours=st.lists(_HOUR, min_size=1, max_size=24),
+       alpha=st.sampled_from([0.05, 0.2, 1e-3]))
+def test_array_bounds_equal_the_scalar_intervals(hours, alpha):
+    means, variances = (np.array(c) for c in zip(*hours))
+    lower, upper = gamma_bounds(means, variances, alpha)
+    assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+    assert np.all(0.0 <= lower) and np.all(lower <= upper)
+    for i, (m, v) in enumerate(hours):
+        band = gamma_interval(m, v, alpha)
+        assert (lower[i], upper[i]) == (band.lower, band.upper)  # bit for bit
+        if m > 0.0 and v > 0.0:
+            shape, scale = gamma_shape_scale(m, v)
+            for x, p in ((lower[i], alpha / 2.0), (upper[i], 1.0 - alpha / 2.0)):
+                assert x >= math.ulp(0.0)
+                if x >= sys.float_info.min:
+                    assert abs(regularized_gamma_p(shape, x / scale) - p) <= 1e-8
+    lower, upper = normal_bounds(means, variances, alpha)
+    for i, (m, v) in enumerate(hours):
+        band = normal_interval(m, v, alpha)
+        assert (lower[i], upper[i]) == (band.lower, band.upper)
+
+
+def test_array_bounds_of_an_empty_cell_are_empty():
+    for bounds in (normal_bounds, gamma_bounds):
+        lower, upper = bounds(np.array([]), np.array([]), 0.05)
+        assert lower.size == upper.size == 0
+
+
+def test_array_bounds_reject_what_the_scalar_intervals_reject():
+    with pytest.raises(ValueError, match="alpha"):
+        gamma_bounds(np.ones(2), np.ones(2), alpha=0.0)
+    with pytest.raises(ValueError, match="variance"):
+        gamma_bounds(np.array([1.0, 2.0]), np.array([0.5, -1e-9]), alpha=0.05)
+    with pytest.raises(ValueError, match="variance"):
+        normal_bounds(np.zeros(2), np.array([0.5, -1e-9]), alpha=0.05)
+    # a negative variance is ignored where the mean is not positive, as in
+    # gamma_interval
+    lower, upper = gamma_bounds(np.array([-1.0]), np.array([-1.0]), 0.05)
+    assert lower.tolist() == upper.tolist() == [0.0]
+    # a NaN variance fails the search: an error, never a NaN bound
+    with pytest.raises(ArithmeticError):
+        gamma_interval(1.0, math.nan, 0.05)
+    with pytest.raises(ArithmeticError):
+        gamma_bounds(np.array([1.0, 1.0]), np.array([0.5, math.nan]), 0.05)

@@ -14,6 +14,7 @@ from pvmi import (
     evaluate,
     nrmse,
 )
+from pvmi.metrics import score, target_truths
 
 from conftest import make_series
 
@@ -145,3 +146,26 @@ def test_evaluate_bundles_both_metrics():
     assert report.nrmse == nrmse(means, truths)
     assert report.n_evaluated == 2
     assert report.alpha == 0.05
+
+
+def test_score_of_arrays_matches_the_per_hour_adapters(rng):
+    n_targets = 16
+    powers = rng.uniform(0.0, 5.0, size=n_targets)
+    truths = series_with_targets(powers, masked=[2, 9, 13])
+    means = rng.uniform(0.0, 5.0, size=n_targets)
+    half = rng.uniform(0.0, 2.0, size=n_targets)
+    bands = [PredictionInterval(m - h, m + h) for m, h in zip(means, half)]
+    report = score(means - half, means + half, means, target_truths(truths, n_targets), 0.1)
+    assert report == evaluate(bands, list(means), truths, alpha=0.1)
+    assert report.coverage == coverage(bands, truths)
+    assert report.nrmse == nrmse(list(means), truths)
+    assert report.n_evaluated == 13
+    assert report.mean_width == float(np.mean([b.width() for b in bands]))  # all 16 hours
+
+
+def test_score_needs_one_entry_per_prediction():
+    truth = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(ValueError, match="one entry per prediction"):
+        score(np.zeros(3), np.ones(3), np.ones(2), truth, 0.1)
+    with pytest.raises(EmptyEvaluationError):
+        score(np.zeros(1), np.ones(1), np.ones(1), np.array([np.nan]), 0.1)

@@ -189,6 +189,24 @@ def test_knn_results_do_not_depend_on_the_chunk_size(pv_windows, monkeypatch):
         assert model.loo_residual_variance() == expected[1]
 
 
+@pytest.mark.parametrize("n_train", [100, 600, 3000])
+def test_knn_row_predicts_the_same_alone_and_in_a_batch(n_train):
+    # each query sits halfway between two training rows, so its nearest
+    # neighbour is decided by the last bits of the distances: those must not
+    # depend on how many other rows share the query's batch. The tied rows
+    # come first: the last few training rows can round differently by the
+    # query's position in the product (see the knn module docstring).
+    rng = np.random.default_rng(n_train)
+    queries = rng.normal(size=(60, 48))
+    step = 1e-4 * rng.normal(size=queries.shape)
+    x = np.vstack([queries + step, queries - step, rng.normal(size=(n_train, 48))])
+    model = KNNRegressor.fit(x, np.arange(len(x), dtype=float), k=1)
+    batch = model.predict(queries)
+    alone = np.array([model.predict(queries[i:i + 1])[0] for i in range(len(queries))])
+    np.testing.assert_array_equal(alone, batch)
+    assert np.all(batch < 2 * len(queries))  # one of the two mirrored rows won
+
+
 def test_knn_peak_memory_stays_flat(rng):
     # a year of hourly windows; one full distance matrix would be 350 MB
     x = rng.normal(size=(6600, 48))

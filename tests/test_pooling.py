@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvmi import PooledPrediction, RoundPrediction, rubin_pool
 
@@ -80,3 +82,34 @@ def test_pooled_prediction_is_immutable():
     assert isinstance(pooled, PooledPrediction)
     with pytest.raises(AttributeError):
         pooled.mean = 0.0
+
+
+# ------------------------------------------------------ one call per cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.integers(1, 10), n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+def test_array_pooling_equals_per_hour_pooling_bitwise(b, n, seed):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=4.0, size=(b, n)) * rng.choice([1e-8, 1.0, 1e6], size=(b, n))
+    means[:, : n // 3] = means[0, : n // 3]  # hours whose rounds agree
+    variances = rng.uniform(0.0, 3.0, size=b)
+    pooled = rubin_pool([RoundPrediction(means[r], float(variances[r])) for r in range(b)])
+    assert pooled.mean.shape == pooled.within_var.shape == pooled.total_var.shape == (n,)
+    hours = [
+        rubin_pool([RoundPrediction(float(means[r, i]), float(variances[r])) for r in range(b)])
+        for i in range(n)
+    ]
+    assert pooled.hours() == hours  # every moment, bit for bit
+    order = rng.permutation(b)
+    again = rubin_pool([RoundPrediction(means[r], float(variances[r])) for r in order])
+    assert again.hours() == hours
+
+
+def test_array_round_means_must_be_finite():
+    with pytest.raises(ValueError, match="finite"):
+        RoundPrediction(np.array([1.0, float("nan")]), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        RoundPrediction(np.array([float("inf")]), 1.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        RoundPrediction(np.zeros(3), -1.0)
