@@ -36,7 +36,7 @@ def sparkline(values, width=48):
 def main():
     spec = SynthSpec(days=90, seed=20)
     series = generate(spec)
-    print(f"generated {len(series)} hourly rows starting {series.timestamps()[0]}")
+    print(f"generated {len(series)} hourly rows starting {series.start}")
     print(f"power peak {series.power.max():.2f}, "
           f"{int((series.power == 0).sum())} night/zero hours")
     print("first two weeks of power:")

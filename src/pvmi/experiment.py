@@ -73,6 +73,13 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.family not in models.FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
+        if self.hyperparameters is not None and self.tune:
+            raise ValueError("tune: a model with hyperparameters is not tuned; "
+                             "give a grid instead")
+        if self.hyperparameters is not None and self.grid is not None:
+            raise ValueError("grid: a model with hyperparameters is not tuned")
+        if self.folds < 1:
+            raise ValueError(f"folds must be >= 1, got {self.folds}")
         if self.hyperparameters is None and not self.tune:
             # nothing specified: fall back to tuning with the default grid
             object.__setattr__(self, "tune", True)

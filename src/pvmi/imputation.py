@@ -14,20 +14,18 @@ among them. Repeated completions of one series reuse the first step;
 
 The neighbourhood size k can be fixed or chosen automatically by
 leave-one-out mean squared error of the neighbourhood mean over a small
-geometric grid; :func:`select_k` stably sorts its pairs by irradiance first.
+geometric grid, see :func:`select_k`.
 
-The pairs are sorted by irradiance, so the k nearest pairs of a query are
-found without sorting all n of them: a binary search places the query, the
-k-th smallest distance ``dk`` comes from the 2k pairs around that place, and
-two more bisections bound the pairs at distance ``dk`` on the query's left.
-That is O(log n + k log k) per query in O(k) memory. Distance ties go to the
-smaller index, as a stable sort of all distances would put them. So every
-pair closer than ``dk`` is taken, and the rest are filled first from the
-pairs at distance exactly ``dk`` on the left, starting from the run's left
-end, then from those on the right. The k nearest pairs are therefore not
-always one contiguous window: when the cut-off falls inside a run of equal
-irradiances on the query's left, the run's leftmost members are taken, not
-the ones next to the query. Irradiances must be finite.
+The pairs are sorted by irradiance, and the k nearest pairs of a query are
+always a run of k consecutive pairs next to the query's insertion point p
+(the first pair whose irradiance is not below the query). The method does not
+say which of several equally distant pairs takes the last slot; the rule here
+ranks pairs by distance to the query, then pairs left of p before pairs right
+of p, then pairs nearer p first. The first k pairs in that order form one run,
+and a bisection over its k + 1 possible starts finds it: the run moves right
+while the pair after it is strictly closer than its first pair. That is
+O(log n + log k) per query, plus the k indices it returns. Irradiances must
+be finite.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .errors import DomainError, InsufficientDataError
 from .series import HourlySeries
 
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,10 @@ class ConditionalSampler:
 def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler:
     """Build a sampler from the observed hours of ``train``.
 
+    The pairs are stably sorted by irradiance, so pairs of equal irradiance
+    keep their time order, and a query's k nearest pairs are one run of that
+    order (see the module docstring).
+
     Parameters
     ----------
     train : HourlySeries
@@ -112,18 +113,14 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
 def neighbors(sampler: ConditionalSampler, queries) -> np.ndarray:
     """(m, k) indices of the k pairs nearest to each of m irradiance queries.
 
-    Row ``j`` holds the k pairs with smallest ``|irradiance_i - queries[j]|``,
-    distance ties broken in favour of the smaller index, in ascending index
-    order.
+    Row ``j`` is the run of k consecutive pairs nearest to ``queries[j]``,
+    distance ties broken by the module's run rule, in ascending index order.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 1:
         raise ValueError("queries must be a 1-D array of irradiances")
     _require_finite(queries, "query irradiance")
-    out = np.empty((queries.size, sampler.k), dtype=np.int64)
-    for lo, hi, order in _nearest_pairs(sampler.irradiance, queries, sampler.k):
-        out[lo:hi] = np.sort(order, axis=1)
-    return out
+    return _run_starts(sampler.irradiance, queries, sampler.k)[:, None] + np.arange(sampler.k)
 
 
 def sample_power(sampler: ConditionalSampler, irradiance: float, rng: np.random.Generator) -> float:
@@ -138,9 +135,9 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     Each pair is predicted by the mean power of its k nearest irradiance
     neighbours among the remaining pairs; the grid value with the smallest
     mean squared error wins, earlier grid entries winning ties. The pairs
-    are stably sorted by irradiance first, so distance ties between
-    neighbours go to the pair earlier in irradiance order (caller order for
-    sorted pairs).
+    are stably sorted by irradiance first. The k nearest other pairs of pair
+    i are its (k + 1)-run without i when i lies in that run, and its k-run
+    otherwise; one cumulative sum of the sorted powers gives every run's sum.
     """
     irr = np.asarray(irradiance, dtype=float)
     pw = np.asarray(power, dtype=float)
@@ -156,12 +153,16 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     if any(g < 1 or g > n - 1 for g in grid):
         raise ValueError(f"grid values must lie in [1, {n - 1}]")
 
-    sse = {g: 0.0 for g in grid}
-    for lo, hi, order in _nearest_pairs(irr, irr, max(grid), hold_out=True):
-        csum = np.cumsum(pw[order], axis=1)
-        for g in grid:
-            pred = csum[:, g - 1] / g
-            sse[g] += float(np.sum((pred - pw[lo:hi]) ** 2))
+    csum = np.concatenate(([0.0], np.cumsum(pw)))
+    own = np.arange(n)
+    sse = {}
+    for g in grid:
+        wide = _run_starts(irr, irr, g + 1)
+        narrow = _run_starts(irr, irr, g)
+        total = np.where((wide <= own) & (own <= wide + g),
+                         csum[wide + g + 1] - csum[wide] - pw,
+                         csum[narrow + g] - csum[narrow])
+        sse[g] = float(np.sum((total / g - pw) ** 2))
 
     best = grid[0]
     for g in grid[1:]:
@@ -229,55 +230,23 @@ def _require_finite(irradiance: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} must be finite")
 
 
-def _nearest_pairs(irradiance: np.ndarray, queries: np.ndarray, kmax: int,
-                   hold_out: bool = False):
-    """Yield ``(lo, hi, order)`` per chunk of queries: ``order[j]`` lists the
-    ``kmax`` pairs nearest to ``queries[lo + j]``, nearest first, distance
-    ties to the smaller index. ``irradiance`` must be sorted. ``hold_out``
-    excludes pair ``lo + j`` from query ``lo + j``'s neighbours (queries are
-    the pairs): its ``kmax + 1`` nearest are found and the query's own index
-    is dropped, or the last of them when the own index is not among them."""
-    n = irradiance.size
-    take = kmax + int(hold_out)
-    width = min(n, 2 * take)
-    for lo in range(0, queries.size, _CHUNK):
-        hi = min(lo + _CHUNK, queries.size)
-        q = queries[lo:hi]
-        # the 2*take pairs around the query hold its take nearest
-        start = np.minimum(np.maximum(np.searchsorted(irradiance, q) - take, 0), n - width)
-        dist = np.abs(irradiance[start[:, None] + np.arange(width)] - q[:, None])
-        near = np.argsort(dist, axis=1, kind="stable")
-        dk = dist[np.arange(hi - lo), near[:, take - 1]]
-        n_strict = np.sum(dist < dk[:, None], axis=1)
-        # pairs at distance exactly dk: [left, inner) left of the query,
-        # then from inner + n_strict on its right
-        left = _first_within(irradiance, q, dk)
-        inner = _first_within(irradiance, q, np.nextafter(dk, -np.inf))
-        t = np.arange(take) - n_strict[:, None]
-        n_left = (inner - left)[:, None]
-        order = np.where(
-            t < 0,
-            start[:, None] + near[:, :take],
-            np.where(t < n_left, left[:, None] + t, (inner + n_strict)[:, None] + t - n_left),
-        )
-        if hold_out:
-            keep = order != np.arange(lo, hi)[:, None]
-            keep[keep.all(axis=1), -1] = False
-            order = order[keep].reshape(hi - lo, kmax)
-        yield lo, hi, order
+def _run_starts(irradiance: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """The first index of each query's run of k nearest pairs in the sorted
+    ``irradiance``.
 
-
-def _first_within(irradiance: np.ndarray, q: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Per query, the first index i with ``q - irradiance[i] <= bound`` in
-    floating point. The difference falls as i grows. Every pair below the
-    float under ``q - nextafter(bound)`` fails the test and every pair from
-    the float over ``q - bound`` on passes it, so a bisection is left only
-    for the few pairs in between."""
-    lo = np.searchsorted(irradiance, np.nextafter(q - np.nextafter(bound, np.inf), -np.inf), "right")
-    hi = np.searchsorted(irradiance, np.nextafter(q - bound, np.inf), "left")
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        ok = (q - irradiance[np.minimum(mid, irradiance.size - 1)] <= bound) | (lo == hi)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid + 1)
-    return lo
+    The run starts in ``[p - k, p]`` (clipped at 0) for insertion point p.
+    Pair s is left of p and pair s + k right of it at every start that can
+    still move, so the run moves right exactly while pair s + k is strictly
+    closer; past the last pair that distance is +inf. The predicate is true
+    then false over the k + 1 candidates, and a bisection of uniform width
+    finds where it turns.
+    """
+    after = np.append(irradiance[k:], np.inf)  # after[s] is pair s + k
+    start = np.maximum(np.searchsorted(irradiance, queries) - k, 0)
+    width = k + 1
+    while width > 1:
+        half = width // 2
+        s = start + (half - 1)
+        start += (after.take(s, mode="clip") - queries < queries - irradiance[s]) * half
+        width -= half
+    return start

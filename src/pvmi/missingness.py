@@ -66,9 +66,6 @@ class GroundTruth:
 
     values: dict[int, float] = field(default_factory=dict)
 
-    def indices(self) -> np.ndarray:
-        return np.array(sorted(self.values), dtype=int)
-
     def restore(self, series: HourlySeries) -> HourlySeries:
         """Undo the injection: put every stored value back and clear its mask."""
         power = series.power.copy()

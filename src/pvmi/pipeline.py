@@ -38,9 +38,8 @@ draws one completion (one ``rng.integers(0, k, size=m)`` call per series)
 and predicts, in setups 1-2, only the test rows whose window holds a gap; in
 setup 3 it fits the round's own model and predicts every row. A gap-free row
 is predicted once, in one batch, and every round reuses that forecast, so
-its rounds agree exactly (its between-round variance is zero, or about
-1e-32 where the exactly rounded B-fold sum divided by B misses the shared
-value by an ulp). Each round's forecasts form one
+its rounds agree exactly: its pooled mean is that forecast and its
+between-round variance is zero. Each round's forecasts form one
 array :class:`~pvmi.pooling.RoundPrediction`, and one ``rubin_pool`` call
 pools every hour of the cell.
 """

@@ -21,7 +21,9 @@ and their squared deviations), so each pooled moment is invariant under any
 permutation of the rounds, bit for bit, and an hour pooled in an array equals
 the same hour pooled alone. The deviations are squared with Python's
 ``** 2`` on floats: numpy's ``d ** 2`` computes ``d * d``, which rounds
-differently from ``pow`` for some doubles.
+differently from ``pow`` for some doubles. Rounds whose means are all the
+same double pool to that double with a between variance of exactly 0: the
+exactly rounded sum of B equal doubles divided by B can miss it by an ulp.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def rubin_pool(rounds: Sequence[RoundPrediction]) -> PooledPrediction:
 
 def _pool_hour(means: list[float]) -> tuple[float, float]:
     """Mean and between-round variance of one hour's round means."""
+    if min(means) == max(means):  # B = 1, or rounds that agree
+        return float(means[0]), 0.0
     b = len(means)
     mean = math.fsum(means) / b
-    if b == 1:
-        return mean, 0.0
     return mean, math.fsum([(m - mean) ** 2 for m in means]) / (b - 1)

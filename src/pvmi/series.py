@@ -78,10 +78,6 @@ class HourlySeries:
     def __len__(self) -> int:
         return len(self.power)
 
-    def timestamps(self) -> list[datetime]:
-        """Hourly stamps for every index, derived from ``start``."""
-        return [self.start + i * _HOUR for i in range(len(self))]
-
     def n_missing(self) -> int:
         return int(self.mask.sum())
 

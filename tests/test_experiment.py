@@ -83,9 +83,21 @@ def test_model_config_needs_a_grid_to_tune_the_mlp():
     with pytest.raises(ValueError, match="grid"):
         ModelConfig("mlp")
     with pytest.raises(ValueError, match="grid"):
-        ModelConfig("mlp", {"iterations": 5}, tune=True)
+        ModelConfig("mlp", tune=True)
     tuned = ModelConfig("mlp", tune=True, grid=({"iterations": 5}, {"iterations": 9}))
     assert tuned.tune is True
+
+
+def test_model_config_rejects_contradictory_fields():
+    # each of these used to drop a field silently, or fail only in run
+    with pytest.raises(ValueError, match="^grid"):
+        ModelConfig("lasso", {"lam": 0.1}, grid=({"lam": 0.2},))
+    with pytest.raises(ValueError, match="^tune"):
+        ModelConfig("knn", {"k": 3}, tune=True)
+    with pytest.raises(ValueError, match="^folds"):
+        ModelConfig("knn", tune=True, folds=0)
+    with pytest.raises(ValueError, match="^folds"):
+        ModelConfig("knn", {"k": 3}, folds=-1)
 
 
 def test_config_requires_exactly_one_data_source():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvmi import ConditionalSampler, DomainError, InsufficientDataError, complete_series, fit_sampler
-from pvmi.imputation import DEFAULT_K_GRID, _nearest_pairs, neighbors, sample_power, select_k
+from pvmi.imputation import DEFAULT_K_GRID, neighbors, sample_power, select_k
 from tests.conftest import make_series
 
 
@@ -56,12 +56,12 @@ def test_neighbor_ties_prefer_smaller_index():
     assert sampler.power[idx].tolist() == [100.0]
 
 
-def test_neighbors_take_the_left_end_of_a_tied_run():
+def test_neighbors_take_the_near_end_of_a_tied_run():
     # the second-nearest distance 0.2 is shared by pair 3 (right) and the
-    # whole run of zeros (left); the smaller index wins, which is pair 0, at
-    # the far end of the run from the query
+    # whole run of zeros (left); the left side wins, and of the run the pair
+    # next to the query's insertion point, so the k nearest stay one run
     sampler = ConditionalSampler(np.array([0.0, 0.0, 0.0, 0.5]), np.arange(4.0), 2)
-    assert neighbors(sampler, [0.3]).tolist() == [[0, 3]]
+    assert neighbors(sampler, [0.3]).tolist() == [[2, 3]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -102,25 +102,37 @@ def test_mean_power_is_neighbor_average():
     assert complete_series(gap, sampler, "single").power[0] == pytest.approx(2.0)
 
 
-def _loo_mse_oracle(irr, power, grid):
-    """Brute-force leave-one-out MSE of the k-neighbour mean, per k."""
+def _distances(irr, queries, hold_out):
+    d = np.abs(irr[None, :] - queries[:, None])
+    if hold_out:  # queries are the pairs: pair j goes last for query j
+        d[np.arange(queries.size), np.arange(queries.size)] = np.inf
+    return d
+
+
+def _stable_order(irr, queries, hold_out=False):
+    """Every pair per query, nearest first, distance ties to the smaller index."""
+    return np.argsort(_distances(irr, queries, hold_out), axis=1, kind="stable")
+
+
+def _run_rule_order(irr, queries, hold_out=False):
+    """Every pair of the sorted ``irr`` per query under the run rule: nearest
+    first, then pairs left of the query's insertion point before pairs right
+    of it, then nearer that point first."""
+    j = np.arange(irr.size)
+    p = np.searchsorted(irr, queries)[:, None]
+    right = j >= p
+    offset = np.where(right, j - p, p - 1 - j)
+    return np.lexsort((offset, right, _distances(irr, queries, hold_out)), axis=-1)
+
+
+def _loo_mse_oracle(irr, power, grid, order=_stable_order):
+    """Brute-force leave-one-out MSE of the k-neighbour mean, per k, the
+    neighbours ranked by ``order``."""
     irr = np.asarray(irr, dtype=float)
     power = np.asarray(power, dtype=float)
-    n = irr.size
-    order_all = {}
-    for i in range(n):
-        d = np.abs(irr - irr[i])
-        d[i] = np.inf
-        order_all[i] = np.argsort(d, kind="stable")
-    out = {}
-    for k in grid:
-        if not 1 <= k <= n - 1:
-            continue
-        errs = [
-            (power[order_all[i][:k]].mean() - power[i]) ** 2 for i in range(n)
-        ]
-        out[k] = float(np.mean(errs))
-    return out
+    ranked = order(irr, irr, hold_out=True)
+    return {k: float(np.mean((power[ranked[:, :k]].mean(axis=1) - power) ** 2))
+            for k in grid if 1 <= k <= irr.size - 1}
 
 
 def test_select_k_matches_brute_force_oracle(rng):
@@ -213,7 +225,7 @@ def test_complete_no_missing_is_identity():
 def tied_pairs(draw):
     """Irradiance/power pairs with heavy distance ties: a share of night
     hours at exactly 0 and the rest on a coarse grid of levels, up to 600
-    pairs so that batches cross the 256-row chunk."""
+    pairs."""
     n = draw(st.integers(3, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.integers(1, 12))
@@ -223,21 +235,12 @@ def tied_pairs(draw):
     return irr, power, rng
 
 
-def _nearest_pairs_oracle(irradiance, queries, kmax, hold_out=False):
-    """``(m, kmax)``: the kmax pairs nearest to each query, nearest first,
-    distance ties to the smaller index, by a stable argsort of every
-    distance; ``hold_out`` leaves pair j out of query j's neighbours."""
-    d = np.abs(irradiance[None, :] - queries[:, None])
-    if hold_out:
-        d[np.arange(queries.size), np.arange(queries.size)] = np.inf
-    return np.argsort(d, axis=1, kind="stable")[:, :kmax]
-
-
 @st.composite
 def search_cases(draw):
-    """Sorted pairs, a neighbourhood size and queries for the windowed
-    search: irradiance on a few tied levels with a run of night zeros, or
-    about 1e-17 apart around 0.5 so that distances tie by rounding."""
+    """Sorted pairs, a neighbourhood size and queries: irradiance on a few
+    tied levels with a run of night zeros, or about 1e-17 apart around 0.5
+    so that distances tie by rounding. With ``hold_out`` the queries are the
+    pairs themselves and k leaves room for one more pair."""
     n = draw(st.integers(1, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -250,21 +253,57 @@ def search_cases(draw):
         off_level = lambda m: 0.5 + rng.integers(-5, 6, m) * 1e-17  # noqa: E731
     irr = np.sort(irr)
     hold_out = n >= 2 and draw(st.booleans())
-    kmax = 1 + int(draw(st.floats(0.0, 1.0)) * (n - 1 - hold_out))
+    k = 1 + int(draw(st.floats(0.0, 1.0)) * (n - 1 - hold_out))
     if hold_out:
         queries = irr
     else:
         m = draw(st.integers(1, 600))
         queries = np.where(rng.random(m) < 0.6, rng.choice(irr, m), off_level(m))
-    return irr, queries, kmax, hold_out
+    return irr, queries, k, hold_out
+
+
+def _run(irr, k, queries):
+    return neighbors(ConditionalSampler(irr, np.zeros(irr.size), k), queries)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=search_cases())
-def test_windowed_search_matches_the_stable_argsort(case):
-    irr, queries, kmax, hold_out = case
-    found = np.vstack([order for _, _, order in _nearest_pairs(irr, queries, kmax, hold_out)])
-    assert np.array_equal(found, _nearest_pairs_oracle(irr, queries, kmax, hold_out))
+def test_runs_match_the_lexsort_oracle(case):
+    irr, queries, k, hold_out = case
+    want = np.sort(_run_rule_order(irr, queries, hold_out)[:, :k], axis=1)
+    if not hold_out:
+        assert np.array_equal(_run(irr, k, queries), want)
+        return
+    # the k nearest other pairs of pair i: its (k + 1)-run without i when i
+    # lies in that run, else its k-run (what select_k sums)
+    wide, narrow = _run(irr, k + 1, irr), _run(irr, k, irr)
+    own = np.arange(irr.size)[:, None]
+    inside = (wide == own).any(axis=1)
+    got = np.where(inside[:, None], np.sort(np.where(wide == own, irr.size, wide), axis=1)[:, :k],
+                   narrow)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=tied_pairs(), k_share=st.floats(0.0, 1.0))
+def test_each_run_lies_inside_the_next_longer_run(data, k_share):
+    irr = np.sort(data[0])
+    k = 1 + int(k_share * (irr.size - 2))
+    queries = np.concatenate((irr, data[2].random(50)))
+    shorter, longer = _run(irr, k, queries), _run(irr, k + 1, queries)
+    assert np.all(shorter[:, 0] >= longer[:, 0]) and np.all(shorter[:, -1] <= longer[:, -1])
+
+
+def test_runs_match_the_stable_argsort_without_ties():
+    # distinct irradiances and queries off every pair: no two distances tie,
+    # so the run rule picks what a stable argsort of all distances picks
+    rng = np.random.default_rng(8)
+    irr = np.sort(rng.random(500))
+    queries = np.concatenate((rng.random(400), [-1.0, 2.0]))
+    assert np.unique(irr).size == irr.size
+    for k in (1, 2, 7, 89, 500):
+        want = np.sort(_stable_order(irr, queries)[:, :k], axis=1)
+        assert np.array_equal(_run(irr, k, queries), want)
 
 
 def test_select_k_peak_memory_stays_flat():
@@ -282,14 +321,9 @@ def test_select_k_peak_memory_stays_flat():
     assert peak < 16 * 2**20
 
 
-def _neighbors_oracle(irr, k, query):
-    """The k nearest pairs of one query by a stable argsort, index order."""
-    return np.sort(np.argsort(np.abs(irr - query), kind="stable")[:k])
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=tied_pairs(), k_share=st.floats(0.0, 1.0), m=st.integers(1, 600))
-def test_chunked_neighbor_matrix_matches_single_queries(data, k_share, m):
+def test_neighbor_batch_matches_single_queries(data, k_share, m):
     irr, power, rng = data
     order = np.argsort(irr, kind="stable")
     sampler = ConditionalSampler(irr[order], power[order], 1 + int(k_share * (irr.size - 1)))
@@ -298,7 +332,7 @@ def test_chunked_neighbor_matrix_matches_single_queries(data, k_share, m):
     mat = neighbors(sampler, queries)
     assert mat.shape == (m, sampler.k)
     for j in range(m):
-        assert np.array_equal(mat[j], _neighbors_oracle(sampler.irradiance, sampler.k, queries[j]))
+        assert np.array_equal(mat[j], neighbors(sampler, queries[j:j + 1])[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,10 +340,10 @@ def test_chunked_neighbor_matrix_matches_single_queries(data, k_share, m):
 def test_select_k_matches_oracle_under_ties(data):
     irr, power, _ = data
     grid = [g for g in DEFAULT_K_GRID if g <= irr.size - 1]
-    # select_k sorts the pairs stably by irradiance, so distance ties go to
-    # the pair earlier in that order
+    # select_k sorts the pairs stably by irradiance and ranks distance ties
+    # by the run rule
     order = np.argsort(irr, kind="stable")
-    oracle = _loo_mse_oracle(irr[order], power[order], grid)
+    oracle = _loo_mse_oracle(irr[order], power[order], grid, _run_rule_order)
     chosen = select_k(irr, power, grid)
     # the oracle averages and sums in another order, so errors that tie
     # exactly in select_k may differ here in the last bits: the pick must be

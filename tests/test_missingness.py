@@ -27,7 +27,6 @@ def test_explicit_blocks():
     assert masked.mask.sum() == 5
     assert _runs(masked.mask) == [(5, 3), (20, 2)]
     assert truth.values == {5: 5.0, 6: 6.0, 7: 7.0, 20: 20.0, 21: 21.0}
-    assert truth.indices().tolist() == [5, 6, 7, 20, 21]
     # input series untouched
     assert s.n_missing() == 0
 

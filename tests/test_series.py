@@ -153,13 +153,6 @@ def test_series_arrays_read_only():
         s.mask[0] = True
 
 
-def test_timestamps():
-    s = make_series([1.0, 2.0, 3.0])
-    stamps = s.timestamps()
-    assert stamps[0] == s.start
-    assert stamps[2] - stamps[1] == timedelta(hours=1)
-
-
 def test_split_chronological():
     s = make_series(np.arange(100, dtype=float))
     train, test = split_chronological(s, test_len=30)
