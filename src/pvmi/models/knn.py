@@ -2,7 +2,9 @@
 
 Prediction is the mean target of the k training rows closest in Euclidean
 distance. Distances are computed in the standardized feature space so that
-no single channel dominates.
+no single channel dominates. The neighbours are the k nearest rows; at equal
+distance, the smaller index wins. A row's k targets are summed in ascending
+index order.
 
 In-sample residuals understate a kNN forecaster's error: each training row
 is its own nearest neighbour at distance zero, so its residual shrinks to
@@ -13,7 +15,11 @@ neighbourhood.
 Both searches compare a chunk of query rows with every training row at once.
 A chunk holds as many rows as fit ``_CHUNK_BYTES`` of squared distances, at
 least one, so memory stays flat however long the training record is; the
-distances are built in one buffer, which ``argpartition`` then reads.
+distances are built in one buffer, which ``_k_nearest`` then reads. The
+model keeps one copy of the standardized training rows, transposed to
+``(features, rows)`` and C-contiguous, so the product reads it in order.
+Leave-one-out queries are copied out of it row-major, chunk by chunk: a row
+sum over a column-major slice would round differently.
 
 The bits of a matrix product depend on its shape: numpy multiplies a single
 row by gemv, and OpenBLAS picks a different gemm kernel for a product with
@@ -35,6 +41,33 @@ from ..errors import InsufficientDataError
 from .scaling import FeatureScaler
 
 _CHUNK_BYTES = 1 << 20
+# every _STRIDE-th distance of a row gives a bound on its k-th smallest
+_STRIDE = 5
+
+
+def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of ``d2``, ties
+    to the smaller index, each row in ascending index order.
+
+    The k-th smallest of a strided subsample bounds the row's k-th smallest
+    from above, so the entries at or below it hold the answer; only those
+    few candidates are sorted.
+    """
+    m, n = d2.shape
+    step = max(1, min(_STRIDE, n // k))  # the subsample keeps >= k columns
+    tau = np.partition(d2[:, ::step], k - 1, axis=1)[:, k - 1]
+    flat = np.flatnonzero(d2 <= tau[:, None])
+    row, col = np.divmod(flat, n)
+    counts = np.bincount(row, minlength=m)
+    start = np.cumsum(counts) - counts
+    pos = np.arange(flat.size) - np.repeat(start, counts)
+    cand = np.full((m, counts.max()), np.inf)
+    cand[row, pos] = d2[row, col]
+    # a row's candidates lie in index order, so a stable sort breaks ties
+    # by index; a padded row's k-th distance is finite, so its padding is
+    # never among its first k
+    first = np.sort(np.argsort(cand, axis=1, kind="stable")[:, :k], axis=1)
+    return col[start[:, None] + first]
 
 
 class KNNRegressor:
@@ -47,8 +80,9 @@ class KNNRegressor:
                 f"k must lie in [1, {inputs_scaled.shape[0]}], got {k}"
             )
         self.scaler = scaler
-        self._x = inputs_scaled
+        # squared first: its temporary and the transposed copy never coexist
         self._x_sq = (inputs_scaled ** 2).sum(axis=1)
+        self._xt = np.ascontiguousarray(inputs_scaled.T)
         self._y = targets
         self.k = int(k)
 
@@ -61,8 +95,7 @@ class KNNRegressor:
         q = self.scaler.transform(np.atleast_2d(x))
         out = np.empty(q.shape[0])
         for lo, hi, d2 in self._distance_chunks(q):
-            idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-            out[lo:hi] = self._y[idx].mean(axis=1)
+            out[lo:hi] = self._y[_k_nearest(d2, self.k)].mean(axis=1)
         return out
 
     def loo_residual_variance(self) -> float:
@@ -78,15 +111,15 @@ class KNNRegressor:
             If ``k`` is not below the number of training rows, which leaves
             no leave-one-out neighbourhood of size k.
         """
-        n = self._x.shape[0]
+        n = self._xt.shape[1]
         if self.k >= n:
             raise InsufficientDataError(
                 f"leave-one-out needs k < {n} training rows, got k={self.k}"
             )
         resid = np.empty(n)
-        for lo, hi, d2 in self._distance_chunks(self._x):
+        for lo, hi, d2 in self._distance_chunks(self._xt.T):
             d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            idx = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
+            idx = _k_nearest(d2, self.k)
             resid[lo:hi] = self._y[idx].mean(axis=1) - self._y[lo:hi]
         return float(np.mean(resid ** 2))
 
@@ -94,13 +127,14 @@ class KNNRegressor:
         """Yield ``(lo, hi, d2)``: squared distances from standardized query
         rows ``lo:hi`` to every training row."""
         m, d = q.shape
-        rows = max(1, _CHUNK_BYTES // (8 * self._x.shape[0]))
+        rows = max(1, _CHUNK_BYTES // (8 * self._xt.shape[1]))
         for lo in range(0, m, rows):
             hi = min(m, lo + rows)
-            chunk = q[lo:hi]
+            chunk = np.ascontiguousarray(q[lo:hi])
+            padded = chunk
             if hi - lo < rows:  # one product shape for every chunk
-                chunk = np.concatenate([chunk, np.zeros((rows - (hi - lo), d))])
-            d2 = ((2.0 * chunk) @ self._x.T)[: hi - lo]
-            np.subtract((q[lo:hi] ** 2).sum(axis=1)[:, None], d2, out=d2)
+                padded = np.concatenate([chunk, np.zeros((rows - (hi - lo), d))])
+            d2 = ((2.0 * padded) @ self._xt)[: hi - lo]
+            np.subtract((chunk ** 2).sum(axis=1)[:, None], d2, out=d2)
             d2 += self._x_sq
             yield lo, hi, d2

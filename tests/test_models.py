@@ -130,8 +130,73 @@ def test_knn_matches_brute_force_neighbour_search(rng):
     expected = []
     for q in qs:
         d2 = ((xs - q) ** 2).sum(axis=1)
-        expected.append(train_y[np.argsort(d2)[:5]].mean())
+        expected.append(train_y[np.argsort(d2, kind="stable")[:5]].mean())
     assert np.allclose(model.predict(queries), expected, atol=1e-9)
+
+
+@st.composite
+def distance_rows(draw):
+    """An (m, n) block of squared distances and a k: drawn from a few
+    integers to force ties, or continuous; with some +inf entries, as on the
+    leave-one-out diagonal."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 60))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([1, 2, 3, 5, None]))
+    if levels is None:
+        d2 = rng.normal(size=(m, n))
+    else:
+        d2 = rng.integers(0, levels, size=(m, n)).astype(float)
+    d2[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = np.inf
+    return d2, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=distance_rows())
+def test_k_nearest_matches_a_stable_sort(case):
+    d2, k = case
+    n = d2.shape[1]
+    expected = [np.sort(np.lexsort((np.arange(n), row))[:k]) for row in d2]
+    np.testing.assert_array_equal(knn._k_nearest(d2, k), expected)
+
+
+def reference_distances(x, q):
+    """Squared distances chunk by chunk from the product on a transposed
+    view of the training rows, ``(2.0 * chunk) @ x.T``: the model's layout
+    must reproduce these bits."""
+    rows = max(1, knn._CHUNK_BYTES // (8 * x.shape[0]))
+    for lo in range(0, q.shape[0], rows):
+        hi = min(q.shape[0], lo + rows)
+        chunk = q[lo:hi]
+        if hi - lo < rows:
+            chunk = np.concatenate([chunk, np.zeros((rows - (hi - lo), q.shape[1]))])
+        d2 = ((2.0 * chunk) @ x.T)[: hi - lo]
+        np.subtract((q[lo:hi] ** 2).sum(axis=1)[:, None], d2, out=d2)
+        yield d2 + (x ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("rows", [128, None])  # several chunks; the default
+def test_knn_distances_equal_the_reference_product_bit_for_bit(pv_windows, monkeypatch, rows):
+    x, y = pv_windows
+    if rows is not None:
+        monkeypatch.setattr(knn, "_CHUNK_BYTES", 8 * 300 * rows)
+    model = KNNRegressor.fit(x[:300], y[:300], k=4)
+    xs, qs = model.scaler.transform(x[:300]), model.scaler.transform(x)
+    seen = []
+    select = knn._k_nearest
+
+    def record(d2, k):
+        seen.append(d2.copy())
+        return select(d2, k)
+
+    monkeypatch.setattr(knn, "_k_nearest", record)
+    model.predict(x)
+    np.testing.assert_array_equal(np.vstack(seen), np.vstack(list(reference_distances(xs, qs))))
+    seen.clear()
+    model.loo_residual_variance()
+    expected = np.vstack(list(reference_distances(xs, xs)))
+    np.fill_diagonal(expected, np.inf)
+    np.testing.assert_array_equal(np.vstack(seen), expected)
 
 
 def test_knn_invariant_to_feature_rescaling(rng):
@@ -176,6 +241,32 @@ def test_knn_loo_variance_excludes_self_among_tied_inputs():
     # neighbour is the other row, so both leave-one-out residuals are 2
     model = KNNRegressor.fit(np.zeros((2, 48)), np.array([4.0, 6.0]), k=1)
     assert model.loo_residual_variance() == 4.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_knn_ties_go_to_the_smaller_index(k):
+    # +-1 inputs with every column balanced standardize to themselves, so
+    # each squared distance is an exact integer and ties are exact; rows
+    # 10-13 duplicate row 3, and rows 40-43 its mirror, row 33, each with
+    # its own target
+    rng = np.random.default_rng(5)
+    half = np.where(rng.random((30, 48)) < 0.5, -1.0, 1.0)
+    half[10:14] = half[3]
+    x = np.vstack([half, -half])
+    y = rng.normal(size=len(x))
+    model = KNNRegressor.fit(x, y, k=k)
+    assert np.array_equal(model.scaler.transform(x), x)
+
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    order = np.arange(len(x))
+    nearest = [np.sort(np.lexsort((order, row))[:k]) for row in d2]
+    np.testing.assert_allclose(model.predict(x), [y[i].mean() for i in nearest],
+                               rtol=1e-12, atol=1e-12)
+    assert model.predict(x[3])[0] == y[np.array([3, 10, 11, 12, 13])[:k]].mean()
+
+    np.fill_diagonal(d2, np.inf)
+    loo = [y[np.sort(np.lexsort((order, row))[:k])].mean() - y[i] for i, row in enumerate(d2)]
+    assert model.loo_residual_variance() == pytest.approx(np.mean(np.square(loo)), rel=1e-12)
 
 
 def test_knn_results_do_not_depend_on_the_chunk_size(pv_windows, monkeypatch):
