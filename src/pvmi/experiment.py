@@ -31,7 +31,8 @@ cells share them), and only the bounds and covered flag per cell.
 with the same :func:`~pvmi.metrics.score` that :func:`run` uses.
 
 Cell failures are recorded as failure markers instead of aborting the grid;
-after all cells ran, an :class:`ExperimentError` reports them.
+after all cells ran, an :class:`ExperimentError` reports them. A pipeline
+that raises is pooled once, and all its cells get the same marker.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from . import __version__, models
 from .errors import ExperimentError
 from .features import WINDOW_HOURS
 from .imputation import fit_sampler
-from .intervals import gamma_bounds, normal_bounds
+from .intervals import INTERVAL_FAMILIES
 from .metrics import EvalReport, score, target_truths
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
 from .pipeline import Completions, Pipeline
@@ -55,7 +56,6 @@ from .series import HourlySeries, parse_csv, split_chronological
 from .synth import SynthSpec, generate
 
 SCHEMA_VERSION = 1
-INTERVAL_FAMILIES = ("normal", "gamma")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class ExperimentConfig:
     model_configs: tuple[ModelConfig, ...]
     setups: tuple[int, ...] = (1, 2, 3)
     n_rounds: tuple[int, ...] = (5, 10)
-    interval_families: tuple[str, ...] = INTERVAL_FAMILIES
+    interval_families: tuple[str, ...] = tuple(INTERVAL_FAMILIES)
     train_missing: MissingSpec | None = None
     test_missing: MissingSpec | None = None
     alpha: float = 0.05
@@ -122,7 +122,7 @@ class ExperimentConfig:
         if not self.interval_families or any(
             f not in INTERVAL_FAMILIES for f in self.interval_families
         ):
-            raise ValueError(f"interval_families must be drawn from {INTERVAL_FAMILIES}")
+            raise ValueError(f"interval_families must be drawn from {tuple(INTERVAL_FAMILIES)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -261,7 +261,7 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     hour_fields = _hour_fields(test, truth_restored)
 
     labels = model_labels(config)
-    pipeline_cache: dict[str, tuple] = {}
+    pipeline_cache: dict[str, tuple | Exception] = {}
     summary_cells: list[dict] = []
     manifest_cells: list[dict] = []
     failures: list[str] = []
@@ -276,12 +276,16 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
             "interval_family": cell.interval_family,
         }
         try:
-            if cell.pipeline_id not in pipeline_cache:
+            cached = pipeline_cache.get(cell.pipeline_id)
+            if isinstance(cached, Exception):
+                raise cached
+            if cached is None:
                 pooled = pipelines[cell.model_index].pool(cell.setup, b_run, seed)
-                pipeline_cache[cell.pipeline_id] = pooled, _moment_fields(hour_fields, pooled)
-            pooled, moment_fields = pipeline_cache[cell.pipeline_id]
-            lower, upper = _BOUNDS[cell.interval_family](pooled.mean, pooled.total_var,
-                                                         config.alpha)
+                cached = pipeline_cache[cell.pipeline_id] = (
+                    pooled, _moment_fields(hour_fields, pooled))
+            pooled, moment_fields = cached
+            lower, upper = INTERVAL_FAMILIES[cell.interval_family](
+                pooled.mean, pooled.total_var, config.alpha)
             scores = score(lower, upper, pooled.mean,
                            target_truths(test, pooled.mean.size), config.alpha)
             csv_name = f"cells/cell_{cell.cell_id}.csv"
@@ -293,6 +297,7 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
                 }}
             )
         except Exception as exc:  # cell isolation: record and continue
+            pipeline_cache.setdefault(cell.pipeline_id, exc)  # a pooling that raised
             record.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             failures.append(cell.cell_id)
         summary_cells.append(record)
@@ -388,9 +393,6 @@ def _resolve_models(config: ExperimentConfig, completions: Completions):
         specs.append(spec)
         tuned.append(True)
     return specs, tuned
-
-
-_BOUNDS = {"normal": normal_bounds, "gamma": gamma_bounds}
 
 
 def _score_fields(scores: EvalReport) -> dict:

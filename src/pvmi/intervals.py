@@ -272,6 +272,10 @@ def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
     return _checked(lower, upper)
 
 
+# each interval family the experiment grid can score, with its array kernel
+INTERVAL_FAMILIES = {"normal": normal_bounds, "gamma": gamma_bounds}
+
+
 def _checked(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checks of :class:`PredictionInterval`, for arrays of bounds."""
     if np.isnan(lower).any() or np.isnan(upper).any():

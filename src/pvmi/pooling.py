@@ -16,14 +16,14 @@ and the total predictive variance is
 which reduces to the single-round variance when B == 1 (between is zero by
 convention there).
 
-Every sum is exactly rounded (``math.fsum``, per hour over the B round means
-and their squared deviations), so each pooled moment is invariant under any
-permutation of the rounds, bit for bit, and an hour pooled in an array equals
-the same hour pooled alone. The deviations are squared with Python's
-``** 2`` on floats: numpy's ``d ** 2`` computes ``d * d``, which rounds
-differently from ``pow`` for some doubles. Rounds whose means are all the
-same double pool to that double with a between variance of exactly 0: the
-exactly rounded sum of B equal doubles divided by B can miss it by an ulp.
+Each hour's rounds are sorted and summed in that order, one elementwise
+array pass per round (a numpy reduction over the round axis would sum a
+(B, 1) stack pairwise once B >= 8, unlike a (B, n) one). So each pooled
+moment is the same double for any order of the rounds (up to the sign of a
+zero), an hour pooled alone equals the same hour inside a cell, and the
+between variance is exactly 0 at B = 1 and wherever the rounds agree, whose
+mean is then their common value (the sum of B equal doubles divided by B can
+miss it by an ulp): a gap-free row keeps ``between_var == 0.0``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class RoundPrediction:
     variance: float
 
     def __post_init__(self) -> None:
-        finite = (math.isfinite(self.mean) if np.ndim(self.mean) == 0
-                  else bool(np.isfinite(self.mean).all()))
-        if not finite or not math.isfinite(self.variance):
+        if np.ndim(self.mean) > 1:
+            raise ValueError("a round mean is a float or a 1-D array of hours")
+        if not np.isfinite(self.mean).all() or not math.isfinite(self.variance):
             raise ValueError("round mean and variance must be finite")
         if self.variance < 0.0:
             raise ValueError(f"round variance must be >= 0, got {self.variance}")
@@ -77,28 +77,18 @@ def rubin_pool(rounds: Sequence[RoundPrediction]) -> PooledPrediction:
     b = len(rounds)
     if b == 0:
         raise ValueError("cannot pool an empty list of rounds")
+    stack = np.array([r.mean for r in rounds], dtype=float)
+    means = np.sort(stack.reshape(b, -1), axis=0)  # (B, hours), each hour sorted
+    # the builtin sum adds the rows one after another, elementwise
+    mean = sum(means[1:], means[0]) / b
+    squares = sum(d * d for d in means - mean)
+    agree = means[0] == means[-1]  # B = 1, or rounds that agree
+    mean[agree] = means[0, agree]
+    between = np.where(agree, 0.0, squares / max(b - 1, 1))
     within = math.fsum(r.variance for r in rounds) / b
-    if np.ndim(rounds[0].mean) == 0:
-        mean, between = _pool_hour([r.mean for r in rounds])
-    else:
-        columns = np.stack([r.mean for r in rounds]).T.tolist()  # one list per hour
-        hours = np.array([_pool_hour(col) for col in columns]).reshape(-1, 2)
-        mean, between = hours[:, 0].copy(), hours[:, 1].copy()
-        within = np.full(mean.shape, within)
     total = within + (1.0 + 1.0 / b) * between
-    return PooledPrediction(
-        mean=mean,
-        within_var=within,
-        between_var=between,
-        total_var=total,
-        n_rounds=b,
-    )
-
-
-def _pool_hour(means: list[float]) -> tuple[float, float]:
-    """Mean and between-round variance of one hour's round means."""
-    if min(means) == max(means):  # B = 1, or rounds that agree
-        return float(means[0]), 0.0
-    b = len(means)
-    mean = math.fsum(means) / b
-    return mean, math.fsum([(m - mean) ** 2 for m in means]) / (b - 1)
+    if stack.ndim == 1:  # float rounds come back as floats
+        mean, between, total = float(mean[0]), float(between[0]), float(total[0])
+    else:
+        within = np.full(mean.shape, within)
+    return PooledPrediction(mean, within, between, total, n_rounds=b)

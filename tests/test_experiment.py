@@ -27,7 +27,6 @@ from pvmi import (
 )
 from pvmi.cli import main
 from pvmi.experiment import (
-    _BOUNDS,
     _CSV_HEADER,
     Cell,
     ExperimentConfig,
@@ -43,6 +42,7 @@ from pvmi.experiment import (
     run,
 )
 from pvmi.features import WINDOW_HOURS
+from pvmi.intervals import INTERVAL_FAMILIES
 from pvmi.pipeline import Completions, Pipeline
 
 KNN2 = ModelConfig("knn", {"k": 2})
@@ -405,7 +405,7 @@ def cell_inputs():
 @pytest.mark.parametrize("family", ["normal", "gamma"])
 def test_cell_csv_bytes_equal_the_per_row_oracle(cell_inputs, family, tmp_path):
     test, restored, pooled = cell_inputs
-    lower, upper = _BOUNDS[family](pooled.mean, pooled.total_var, 0.1)
+    lower, upper = INTERVAL_FAMILIES[family](pooled.mean, pooled.total_var, 0.1)
     _write_cell_csv(tmp_path / "cell.csv", _moment_fields(_hour_fields(test, restored), pooled),
                     lower, upper, restored)
     scalar = normal_interval if family == "normal" else gamma_interval
@@ -460,6 +460,29 @@ def test_failing_cells_are_isolated(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert {e["model"] for e in manifest["cells"]} == {"knn1"}  # ok cells only
     assert len(reaggregate(tmp_path)["cells"]) == len(manifest["cells"])
+
+
+def test_a_failing_pipeline_is_pooled_once(tmp_path, monkeypatch):
+    # three pipelines (s1, s2_b2, s3_b2), each cut into a normal and a gamma
+    # cell; k above the training rows makes every pooling raise
+    pooled = []
+
+    def counted(self, setup, n_rounds, seed):
+        pooled.append(setup)
+        return pool(self, setup, n_rounds, seed)
+
+    pool = Pipeline.pool
+    monkeypatch.setattr(Pipeline, "pool", counted)
+    config = small_config(data_synth=SynthSpec(days=6, seed=3),
+                          model_configs=(ModelConfig("knn", {"k": 5000}),),
+                          setups=(1, 2, 3), n_rounds=(2,))
+    with pytest.raises(ExperimentError, match="6 cell"):
+        run(config, tmp_path)
+    assert pooled == [1, 2, 3]
+    cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["failed"] * 6
+    errors = [c["error"] for c in cells]
+    assert errors[0::2] == errors[1::2]  # a pipeline's two cells share its marker
 
 
 def test_run_fits_each_shared_model_once_and_finds_neighbours_once(tmp_path, monkeypatch):

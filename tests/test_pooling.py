@@ -1,5 +1,7 @@
 """Multiple-imputation pooling of per-round (mean, variance) forecasts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,3 +115,75 @@ def test_array_round_means_must_be_finite():
         RoundPrediction(np.array([float("inf")]), 1.0)
     with pytest.raises(ValueError, match=">= 0"):
         RoundPrediction(np.zeros(3), -1.0)
+
+
+def test_an_hour_pooled_alone_equals_it_inside_a_cell_at_nine_rounds():
+    # numpy sums a contiguous axis pairwise from 8 terms on: a (9, 1) stack
+    # summed by a reduction would round unlike the same column of a (9, 3) one
+    means = np.array([[1e16, 3.0, 0.1], [1.0, 1e-3, 0.7], [1.0, -2.5, 0.3],
+                      [1.0, 7.0, 0.9], [1.0, 1e3, 0.2], [1.0, 0.5, 0.8],
+                      [1.0, -1e2, 0.4], [1.0, 2.0, 0.6], [-1e16, 1e-9, 0.5]])
+    variances = [0.1 * (r + 1) for r in range(9)]
+    cell = rubin_pool([RoundPrediction(means[r], variances[r]) for r in range(9)]).hours()
+    for i in range(3):
+        alone = rubin_pool([RoundPrediction(float(means[r, i]), variances[r])
+                            for r in range(9)])
+        assert isinstance(alone.mean, float) and isinstance(alone.total_var, float)
+        assert _bits(alone) == _bits(cell[i])
+
+
+def test_round_means_with_more_than_one_dimension_are_rejected():
+    with pytest.raises(ValueError, match="1-D"):
+        RoundPrediction(np.zeros((2, 3)), 1.0)
+
+
+# --------------------------------------------- the exactly rounded oracle
+
+
+def _bits(p: PooledPrediction) -> tuple:
+    return tuple(float(v).hex() for v in (p.mean, p.within_var, p.between_var, p.total_var))
+
+
+def _fsum_pool_hour(means: list[float], variances: list[float]) -> tuple:
+    """One hour pooled with exactly rounded sums (``math.fsum``) and squares
+    by Python's ``** 2``: the per-hour pooling the array path replaced."""
+    b = len(means)
+    within = math.fsum(variances) / b
+    if min(means) == max(means):
+        mean, between = means[0], 0.0
+    else:
+        mean = math.fsum(means) / b
+        between = math.fsum([(m - mean) ** 2 for m in means]) / (b - 1)
+    return mean, within, between, within + (1.0 + 1.0 / b) * between
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.integers(1, 12), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_array_pooling_stays_within_stated_ulps_of_the_fsum_oracle(b, n, seed):
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1e-6, 1.0, 1e6], size=n)
+    means = rng.normal(size=(b, n)) * scale
+    near = n // 3  # hours whose rounds differ by a few ulps only
+    means[:, :near] = scale[:near] + rng.integers(-4, 5, size=(b, near)) * np.spacing(scale[:near])
+    means[:, near:2 * near] = means[0, near:2 * near]  # hours whose rounds agree
+    variances = rng.uniform(0.0, 3.0, size=b).tolist()
+    pooled = rubin_pool([RoundPrediction(means[r], variances[r]) for r in range(b)])
+    u = 2.0 ** -53
+    for i, hour in enumerate(pooled.hours()):
+        column = means[:, i].tolist()
+        mean, within, between, total = _fsum_pool_hour(column, variances)
+        big = max(abs(m) for m in column)
+        # A sum of b doubles taken in sorted order is within (b-1)u of its
+        # absolute sum, so each mean lies within (b+1) ulps of the largest
+        # round mean of the exactly rounded one. The between variance is
+        # flat in the mean to first order: a mean off by dm adds b*dm^2.
+        # Rounding the b deviations, squares and sums adds a relative
+        # (2b + 10)u against the oracle's own rounding.
+        dm = (b + 1) * math.ulp(big)
+        tol_between = (2 * b + 10) * u * between + 2 * b * dm * dm
+        assert hour.within_var == within
+        assert abs(hour.mean - mean) <= dm
+        assert abs(hour.between_var - between) <= tol_between
+        assert abs(hour.total_var - total) <= 2 * tol_between + math.ulp(total)
+        if min(column) == max(column):
+            assert hour.between_var == 0.0 and hour.mean == column[0]
