@@ -22,17 +22,24 @@ model), and writes three artifacts into the output directory:
     per-hour detail (truth, mask, pooled moments, interval bounds, covered
     flag) for each cell, sufficient to re-aggregate the summary.
 
-Each cell is pooled, cut, scored and written as arrays, one call per step.
-The CSVs hold ``repr`` of every float, so they round-trip exactly; their
-columns are formatted once where they are shared: hour, truth and mask once
-per run, the four pooled moments once per pipeline (its normal and gamma
-cells share them), and only the bounds and covered flag per cell.
-:func:`reaggregate` reads each CSV back into column arrays and scores them
-with the same :func:`~pvmi.metrics.score` that :func:`run` uses.
+:func:`run` works in three passes over arrays. It pools each pipeline once.
+It cuts each interval family once: one kernel call on the concatenated
+hours of every pipeline that pooled, split back by pipeline (the kernels
+are elementwise, so every bound has the bits of a call on its pipeline's
+hours alone). Then it scores and writes each cell. The CSVs hold ``repr``
+of every float, so they round-trip exactly; their columns are formatted
+once where they are shared: hour, truth and mask once per run, a
+pipeline's four pooled moments at its first cell (dropped after its last),
+and only the bounds and covered flag per cell. :func:`reaggregate` reads
+each CSV back into column arrays and scores them with the same
+:func:`~pvmi.metrics.score` that :func:`run` uses.
 
 Cell failures are recorded as failure markers instead of aborting the grid;
 after all cells ran, an :class:`ExperimentError` reports them. A pipeline
-that raises is pooled once, and all its cells get the same marker.
+that raises is pooled once, and all its cells get the same marker. If a
+family's batched cut raises, the family is cut again per pipeline, so that
+only the cells whose hours raise fail, with the error of a cut on their
+hours.
 """
 
 from __future__ import annotations
@@ -261,14 +268,16 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     hour_fields = _hour_fields(test, truth_restored)
 
     labels = model_labels(config)
-    pipeline_cache: dict[str, tuple | Exception] = {}
+    cells = enumerate_cells(config)
+    pooled = _pool_pipelines(config, cells, pipelines)
+    bounds = _cut(config, pooled)
+    fields_for, moment_fields = None, None
     summary_cells: list[dict] = []
     manifest_cells: list[dict] = []
     failures: list[str] = []
 
-    for cell in enumerate_cells(config):
-        b_run = 1 if cell.n_rounds is None else cell.n_rounds
-        seed = _pipeline_seed(config.master_seed, cell.model_index, cell.setup, b_run)
+    for cell in cells:
+        seed, pooling = pooled[cell.pipeline_id]
         record = {
             "setup": cell.setup,
             "model": cell.model_label,
@@ -276,18 +285,16 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
             "interval_family": cell.interval_family,
         }
         try:
-            cached = pipeline_cache.get(cell.pipeline_id)
-            if isinstance(cached, Exception):
-                raise cached
-            if cached is None:
-                pooled = pipelines[cell.model_index].pool(cell.setup, b_run, seed)
-                cached = pipeline_cache[cell.pipeline_id] = (
-                    pooled, _moment_fields(hour_fields, pooled))
-            pooled, moment_fields = cached
-            lower, upper = INTERVAL_FAMILIES[cell.interval_family](
-                pooled.mean, pooled.total_var, config.alpha)
-            scores = score(lower, upper, pooled.mean,
-                           target_truths(test, pooled.mean.size), config.alpha)
+            cut = bounds[cell.pipeline_id, cell.interval_family]
+            if isinstance(cut, Exception):
+                raise cut
+            lower, upper = cut
+            scores = score(lower, upper, pooling.mean,
+                           target_truths(test, pooling.mean.size), config.alpha)
+            if fields_for != cell.pipeline_id:  # a pipeline's cells are adjacent
+                moment_fields = None  # drop the last pipeline's rows first
+                moment_fields = _moment_fields(hour_fields, pooling)
+                fields_for = cell.pipeline_id
             csv_name = f"cells/cell_{cell.cell_id}.csv"
             _write_cell_csv(out / csv_name, moment_fields, lower, upper, truth_restored)
             record.update(status="ok", **_score_fields(scores))
@@ -297,7 +304,6 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
                 }}
             )
         except Exception as exc:  # cell isolation: record and continue
-            pipeline_cache.setdefault(cell.pipeline_id, exc)  # a pooling that raised
             record.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             failures.append(cell.cell_id)
         summary_cells.append(record)
@@ -336,6 +342,59 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
             f"markers written to {out / 'summary.json'}"
         )
     return summary
+
+
+def _pool_pipelines(config: ExperimentConfig, cells: list[Cell],
+                    pipelines: list[Pipeline]) -> dict[str, tuple]:
+    """Each pipeline's seed and its pooling, or the exception its pooling
+    raised, by pipeline id; each pipeline is pooled once, in cell order."""
+    pooled: dict[str, tuple] = {}
+    for cell in cells:
+        if cell.pipeline_id in pooled:
+            continue
+        b_run = 1 if cell.n_rounds is None else cell.n_rounds
+        seed = _pipeline_seed(config.master_seed, cell.model_index, cell.setup, b_run)
+        try:
+            result = pipelines[cell.model_index].pool(cell.setup, b_run, seed)
+        except Exception as exc:  # its cells get the marker
+            result = exc
+        pooled[cell.pipeline_id] = (seed, result)
+    return pooled
+
+
+def _cut(config: ExperimentConfig, pooled: dict[str, tuple]) -> dict[tuple, object]:
+    """The bounds of every (pipeline id, interval family), or the exception
+    that its pooling or its cut raised. Each family cuts the hours of every
+    pipeline that pooled in one kernel call; the kernels are elementwise, so
+    a pipeline's bounds are those of a call on its hours alone. If the call
+    raises, each pipeline is cut on its own, so that only the pipelines
+    whose hours raise fail, with the error a call on their hours gives."""
+    bounds: dict[tuple, object] = {}
+    ok = {}
+    for pid, (_, pooling) in pooled.items():
+        if isinstance(pooling, Exception):
+            bounds.update({(pid, family): pooling for family in config.interval_families})
+        else:
+            ok[pid] = pooling
+    if not ok:
+        return bounds
+    ends = np.cumsum([p.mean.size for p in ok.values()])[:-1]
+    mean = np.concatenate([p.mean for p in ok.values()])
+    total_var = np.concatenate([p.total_var for p in ok.values()])
+    for family in config.interval_families:
+        kernel = INTERVAL_FAMILIES[family]
+        try:
+            lower, upper = kernel(mean, total_var, config.alpha)
+        except Exception:
+            for pid, p in ok.items():
+                try:
+                    bounds[pid, family] = kernel(p.mean, p.total_var, config.alpha)
+                except Exception as exc:
+                    bounds[pid, family] = exc
+            continue
+        for pid, lo, up in zip(ok, np.split(lower, ends), np.split(upper, ends)):
+            bounds[pid, family] = (lo, up)
+    return bounds
 
 
 def reaggregate(output_dir: str | Path) -> dict:

@@ -6,11 +6,30 @@ of full-batch Adam steps (learning rate 1e-3, beta1 0.9, beta2 0.999,
 eps 1e-8). Weights are drawn from seeded He-style Gaussians so a given
 (seed, data) pair always trains to the same parameters.
 
-``loss_and_grads`` computes the analytic backpropagation gradients and is
-exposed separately so they can be audited against finite differences.
+A fit allocates its arrays once, in a :class:`_Workspace`: one flat buffer
+each for the parameters, the gradients, the two Adam moments and two
+scratch vectors, with a view per parameter array, and the activation and
+ReLU-mask buffers of the training rows (the deltas reuse the activation
+buffers). Every step writes into them in place. The operations and their operand order are those of the textbook
+update, so an in-place step gives the bits of one that allocates:
+
+* forward: ``z = x @ w + b`` per layer (``matmul(..., out=)``, then the
+  bias), ``a = maximum(z, 0)`` and the mask ``a > 0``;
+* backward: ``dout = (2/n) * err``; ``dw = a.T @ d``, ``db = d.sum(axis=0)``;
+  ``da2 = dout * w3.T``, a broadcast product where the textbook has the
+  outer product ``dout @ w3.T`` (the two differ only in the sign of a zero,
+  and every reader of the deltas sums from +0.0); ``dz = da * mask``;
+* Adam, over the flat buffers: ``m = b1*m + (1-b1)*g``,
+  ``v = b2*v + ((1-b2)*g)*g``, ``p = p - lr*m_hat / (sqrt(v_hat) + eps)``.
+
+``loss_and_grads`` runs the same gradient code on a fresh workspace and is
+exposed separately so the gradients can be audited against finite
+differences.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +38,16 @@ from .scaling import FeatureScaler
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """One view of ``flat`` per parameter array, in ``PARAM_NAMES`` order."""
+    views, start = {}, 0
+    for name in PARAM_NAMES:
+        size = math.prod(shapes[name])
+        views[name] = flat[start:start + size].reshape(shapes[name])
+        start += size
+    return views
 
 
 def init_params(seed: int, n_in: int, hidden: tuple[int, int]) -> dict[str, np.ndarray]:
@@ -43,31 +72,75 @@ def forward(params: dict[str, np.ndarray], xs: np.ndarray) -> np.ndarray:
     return (a2 @ params["w3"]).ravel() + params["b3"][0]
 
 
+class _Workspace:
+    """Every array a fit on ``n`` rows writes, allocated once. The deltas
+    overwrite the activations once those have been used."""
+
+    def __init__(self, params: dict[str, np.ndarray], n: int):
+        shapes = {name: params[name].shape for name in PARAM_NAMES}
+        self.flat = np.concatenate([params[name].ravel() for name in PARAM_NAMES])
+        self.grad_flat, self.m, self.v, self.tmp, self.den = np.zeros((5, self.flat.size))
+        self.params = _views(self.flat, shapes)
+        self.grads = _views(self.grad_flat, shapes)
+        h1, h2 = shapes["w2"]
+        self.a1, self.mask1 = np.empty((n, h1)), np.empty((n, h1), dtype=bool)
+        self.a2, self.mask2 = np.empty((n, h2)), np.empty((n, h2), dtype=bool)
+        self.out = np.empty((n, 1))
+
+    def gradients(self, xs: np.ndarray, y: np.ndarray) -> float:
+        """Fill ``grads`` with the gradient of the mean squared error at
+        ``params``, and return that error."""
+        p, g, a1, a2, out = self.params, self.grads, self.a1, self.a2, self.out
+        np.matmul(xs, p["w1"], out=a1)
+        a1 += p["b1"]
+        np.maximum(a1, 0.0, out=a1)
+        np.greater(a1, 0.0, out=self.mask1)
+        np.matmul(a1, p["w2"], out=a2)
+        a2 += p["b2"]
+        np.maximum(a2, 0.0, out=a2)
+        np.greater(a2, 0.0, out=self.mask2)
+        np.matmul(a2, p["w3"], out=out)
+        err = out[:, 0]
+        err += p["b3"][0]
+        err -= y
+        n = xs.shape[0]
+        loss = float(err @ err / n)
+
+        dout = np.multiply(2.0 / n, out, out=out)
+        np.matmul(a2.T, dout, out=g["w3"])
+        np.sum(dout, axis=0, out=g["b3"])
+        d2 = np.multiply(dout, p["w3"].T, out=a2)
+        d2 *= self.mask2
+        np.matmul(a1.T, d2, out=g["w2"])
+        np.sum(d2, axis=0, out=g["b2"])
+        d1 = np.matmul(d2, p["w2"].T, out=a1)
+        d1 *= self.mask1
+        np.matmul(xs.T, d1, out=g["w1"])
+        np.sum(d1, axis=0, out=g["b1"])
+        return loss
+
+    def adam_step(self, step: int, learning_rate: float) -> None:
+        """One Adam update of every parameter from ``grads``."""
+        g, m, v, tmp, den = self.grad_flat, self.m, self.v, self.tmp, self.den
+        m *= _BETA1
+        m += np.multiply(1.0 - _BETA1, g, out=tmp)
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, 1.0 - _BETA2 ** step, out=den)  # v_hat
+        np.sqrt(den, out=den)
+        den += _ADAM_EPS
+        np.divide(m, 1.0 - _BETA1 ** step, out=tmp)  # m_hat
+        tmp *= learning_rate
+        tmp /= den
+        self.flat -= tmp
+
+
 def loss_and_grads(params, xs, y):
     """Mean squared error and its gradient for every parameter array."""
-    n = xs.shape[0]
-    z1 = xs @ params["w1"] + params["b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params["w2"] + params["b2"]
-    a2 = np.maximum(z2, 0.0)
-    out = (a2 @ params["w3"]).ravel() + params["b3"][0]
-
-    err = out - y
-    loss = float(err @ err / n)
-
-    dout = (2.0 / n) * err[:, None]
-    dw3 = a2.T @ dout
-    db3 = dout.sum(axis=0)
-    da2 = dout @ params["w3"].T
-    dz2 = da2 * (z2 > 0.0)
-    dw2 = a1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    da1 = dz2 @ params["w2"].T
-    dz1 = da1 * (z1 > 0.0)
-    dw1 = xs.T @ dz1
-    db1 = dz1.sum(axis=0)
-    grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
-    return loss, grads
+    ws = _Workspace(params, xs.shape[0])
+    return ws.gradients(xs, y), ws.grads
 
 
 class MLPRegressor:
@@ -90,26 +163,18 @@ class MLPRegressor:
         learning_rate, iterations = float(learning_rate), int(iterations)
         if len(hidden) != 2 or min(hidden) < 1:
             raise ValueError(f"hidden must be two positive widths, got {hidden}")
-        if iterations < 1 or learning_rate <= 0:
-            raise ValueError("iterations must be >= 1 and learning_rate positive")
+        if iterations < 1 or not 0.0 < learning_rate < math.inf:
+            raise ValueError("iterations must be >= 1 and learning_rate positive and finite")
         scaler = FeatureScaler.fit(inputs)
         xs = scaler.transform(inputs)
         y_mean = targets.mean()
         yc = targets - y_mean
 
-        params = init_params(seed, xs.shape[1], hidden)
-        m = {k: np.zeros_like(v) for k, v in params.items()}
-        v = {k: np.zeros_like(p) for k, p in params.items()}
+        ws = _Workspace(init_params(seed, xs.shape[1], hidden), xs.shape[0])
         for step in range(1, iterations + 1):
-            _, grads = loss_and_grads(params, xs, yc)
-            for key in PARAM_NAMES:
-                g = grads[key]
-                m[key] = _BETA1 * m[key] + (1.0 - _BETA1) * g
-                v[key] = _BETA2 * v[key] + (1.0 - _BETA2) * g * g
-                m_hat = m[key] / (1.0 - _BETA1 ** step)
-                v_hat = v[key] / (1.0 - _BETA2 ** step)
-                params[key] = params[key] - learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        return cls(scaler, params, y_mean, hidden)
+            ws.gradients(xs, yc)
+            ws.adam_step(step, learning_rate)
+        return cls(scaler, ws.params, y_mean, hidden)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return forward(self.params, self.scaler.transform(np.atleast_2d(x))) + self.target_mean

@@ -147,19 +147,28 @@ class Completions:
 class Pipeline:
     """One spec's forecasts over a :class:`Completions`. The shared
     single-imputation model and its forecasts of the gap-free test rows are
-    built on first use and serve every setup-1/2 pooling."""
+    built on first use and serve every setup-1/2 pooling; so does the
+    failure of a shared fit."""
 
     def __init__(self, completions: Completions, spec: models.RegressorSpec):
         self.completions = completions
         self.spec = spec
+        self._shared_failure: Exception | None = None
 
     @cached_property
     def shared(self) -> tuple[models.TrainedModel, float]:
         """The model fitted on the single-imputed training set, and its
-        round variance."""
-        train_ds = self.completions.train_single
-        model = models.fit(self.spec, train_ds)
-        return model, _round_variance(model, train_ds)
+        round variance. A fit that raises is not repeated: every later use
+        raises the same exception."""
+        if self._shared_failure is not None:
+            raise self._shared_failure
+        try:
+            train_ds = self.completions.train_single
+            model = models.fit(self.spec, train_ds)
+            return model, _round_variance(model, train_ds)
+        except Exception as exc:
+            self._shared_failure = exc
+            raise
 
     @cached_property
     def gap_free_means(self) -> np.ndarray:

@@ -485,6 +485,89 @@ def test_a_failing_pipeline_is_pooled_once(tmp_path, monkeypatch):
     assert errors[0::2] == errors[1::2]  # a pipeline's two cells share its marker
 
 
+def test_a_failing_shared_fit_is_fitted_once(tmp_path, monkeypatch):
+    # the setup-2 pipeline reuses the setup-1 pipeline's failed shared fit;
+    # setup 3 fits its first round's own model, which fails too
+    import pvmi.models
+
+    fits = []
+
+    def counted(spec, data):
+        fits.append(spec)
+        return fit(spec, data)
+
+    fit = pvmi.models.fit
+    monkeypatch.setattr(pvmi.models, "fit", counted)
+    config = small_config(data_synth=SynthSpec(days=6, seed=3),
+                          model_configs=(ModelConfig("knn", {"k": 5000}),),
+                          setups=(1, 2, 3), n_rounds=(2,))
+    with pytest.raises(ExperimentError, match="6 cell"):
+        run(config, tmp_path)
+    assert len(fits) == 2
+
+
+def _pooled_by_pipeline(monkeypatch):
+    """Wrap ``Pipeline.pool`` so that it records each pooling under its
+    pipeline id (knn models only)."""
+    pooled = {}
+
+    def recorded(self, setup, n_rounds, seed):
+        result = pool(self, setup, n_rounds, seed)
+        b = f"_b{n_rounds}" if setup != 1 else ""
+        pooled[f"s{setup}{b}_knn"] = result
+        return result
+
+    pool = Pipeline.pool
+    monkeypatch.setattr(Pipeline, "pool", recorded)
+    return pooled
+
+
+def test_each_family_is_cut_once_with_the_bits_of_per_pipeline_cuts(tmp_path, monkeypatch):
+    pooled = _pooled_by_pipeline(monkeypatch)
+    calls = []
+    for family, kernel in list(INTERVAL_FAMILIES.items()):
+        def counted(mean, variance, alpha, family=family, kernel=kernel):
+            calls.append(family)
+            return kernel(mean, variance, alpha)
+        monkeypatch.setitem(INTERVAL_FAMILIES, family, counted)
+    config = small_config(setups=(1, 2, 3), n_rounds=(2, 3))
+    run(config, tmp_path)
+    assert sorted(calls) == ["gamma", "normal"]
+    monkeypatch.undo()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(pooled) == 5 and len(manifest["cells"]) == 10
+    for entry in manifest["cells"]:
+        p = pooled[entry["id"].rsplit("_", 1)[0]]
+        lower, upper = INTERVAL_FAMILIES[entry["interval_family"]](
+            p.mean, p.total_var, config.alpha)
+        columns = _read_cell_csv(tmp_path / entry["file"])
+        for got, want in ((columns["lower"], lower), (columns["upper"], upper)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_a_cut_that_raises_fails_only_its_pipelines_cells(tmp_path, monkeypatch):
+    pooled = _pooled_by_pipeline(monkeypatch)
+    gamma = INTERVAL_FAMILIES["gamma"]
+
+    def failing(mean, variance, alpha):
+        # raises on the hours of s2_b2, with a text that depends on the call
+        target = pooled["s2_b2_knn"].mean
+        n = target.size
+        if any(np.array_equal(mean[i:i + n], target) for i in range(0, mean.size, n)):
+            raise ArithmeticError(f"search failed for {mean.size // n} block(s)")
+        return gamma(mean, variance, alpha)
+
+    monkeypatch.setitem(INTERVAL_FAMILIES, "gamma", failing)
+    with pytest.raises(ExperimentError, match="1 cell"):
+        run(small_config(setups=(1, 2), n_rounds=(2, 3)), tmp_path)
+    cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
+    failed = [(c["setup"], c["n_rounds"], c["interval_family"], c["error"])
+              for c in cells if c["status"] == "failed"]
+    assert failed == [(2, 2, "gamma", "ArithmeticError: search failed for 1 block(s)")]
+    assert sum(c["status"] == "ok" for c in cells) == 5
+
+
 def test_run_fits_each_shared_model_once_and_finds_neighbours_once(tmp_path, monkeypatch):
     # setup 1 and every setup-2 cell of a spec share one single-imputation
     # model (1 fit), setup 3 fits one model per round (2 + 3); the sampler

@@ -525,6 +525,111 @@ def test_mlp_seed_controls_initialization(rng):
     assert not np.array_equal(a.predict(probe), c.predict(probe))
 
 
+# The training loop the in-place workspace replaced: it allocates every
+# activation, gradient and Adam moment afresh at each step. Kept as the
+# reference oracle for the parameters a fit trains to.
+
+
+def _grads_oracle(params, xs, y):
+    n = xs.shape[0]
+    z1 = xs @ params["w1"] + params["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ params["w2"] + params["b2"]
+    a2 = np.maximum(z2, 0.0)
+    err = (a2 @ params["w3"]).ravel() + params["b3"][0] - y
+    dout = (2.0 / n) * err[:, None]
+    dz2 = (dout @ params["w3"].T) * (z2 > 0.0)
+    dz1 = (dz2 @ params["w2"].T) * (z1 > 0.0)
+    return {"w1": xs.T @ dz1, "b1": dz1.sum(axis=0), "w2": a1.T @ dz2,
+            "b2": dz2.sum(axis=0), "w3": a2.T @ dout, "b3": dout.sum(axis=0)}
+
+
+def _fit_params_oracle(inputs, targets, hidden, learning_rate, iterations, seed):
+    from pvmi.models.mlp import PARAM_NAMES
+
+    xs = FeatureScaler.fit(inputs).transform(inputs)
+    yc = targets - targets.mean()
+    params = init_params(seed, xs.shape[1], hidden)
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for step in range(1, iterations + 1):
+        grads = _grads_oracle(params, xs, yc)
+        for key in PARAM_NAMES:
+            g = grads[key]
+            m[key] = 0.9 * m[key] + (1.0 - 0.9) * g
+            v[key] = 0.999 * v[key] + (1.0 - 0.999) * g * g
+            m_hat = m[key] / (1.0 - 0.9 ** step)
+            v_hat = v[key] / (1.0 - 0.999 ** step)
+            params[key] = params[key] - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return params
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def mlp_cases(draw):
+    n = draw(st.integers(1, 40))
+    n_in = draw(st.integers(1, 6))
+    hidden = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=n_in)
+    x = rng.normal(size=(n, n_in)) * scales
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, n_in - 1))] = draw(st.sampled_from([0.0, 0.1, -7.0]))
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return x, y, hidden, draw(st.sampled_from([1e-3, 1e-2, 0.3])), draw(st.integers(1, 30)), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(mlp_cases())
+def test_mlp_fit_equals_the_allocating_oracle_bit_for_bit(case):
+    x, y, hidden, lr, iterations, seed = case
+    model = MLPRegressor.fit(x, y, hidden=hidden, learning_rate=lr,
+                             iterations=iterations, seed=seed)
+    want = _fit_params_oracle(x, y, hidden, lr, iterations, seed)
+    for name, value in want.items():
+        _assert_same_bits(model.params[name], value)
+
+
+@pytest.mark.parametrize("n, n_in, hidden, iterations",
+                         [(1, 1, (1, 1), 1), (1, 3, (4, 2), 5), (7, 1, (1, 3), 1),
+                          (456, 48, (48, 24), 3)])
+def test_mlp_fit_equals_the_oracle_at_the_edges(rng, n, n_in, hidden, iterations):
+    x = rng.normal(size=(n, n_in))
+    y = rng.normal(size=n)
+    model = MLPRegressor.fit(x, y, hidden=hidden, iterations=iterations, seed=4)
+    want = _fit_params_oracle(x, y, hidden, 1e-3, iterations, 4)
+    for name, value in want.items():
+        _assert_same_bits(model.params[name], value)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mlp_gradients_keep_the_oracles_signed_zeros(n):
+    # every unit dead and err = 0: the outer product dout * w3.T is -0.0
+    # where w3 is negative (matmul gives +0.0), and so are the masked deltas
+    x = np.zeros((n, 2))
+    params = init_params(seed=0, n_in=2, hidden=(3, 4))
+    params["w3"][0, 0] = -abs(params["w3"][0, 0])
+    params["b1"][:] = -1.0
+    loss, grads = loss_and_grads(params, x, np.zeros(n))
+    assert loss == 0.0
+    want = _grads_oracle(params, x, np.zeros(n))
+    for name, value in want.items():
+        _assert_same_bits(grads[name], value)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_mlp_rejects_a_learning_rate_that_is_not_positive_and_finite(rng, lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        MLPRegressor.fit(rng.normal(size=(5, 2)), rng.normal(size=5), learning_rate=lr)
+
+
 # ------------------------------------------- family-independent entry points
 
 
