@@ -58,7 +58,7 @@ from .imputation import fit_sampler
 from .intervals import INTERVAL_FAMILIES
 from .metrics import EvalReport, score, target_truths
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
-from .pipeline import Completions, Pipeline
+from .pipeline import SETUPS, Completions, Pipeline
 from .series import HourlySeries, parse_csv, split_chronological
 from .synth import SynthSpec, generate
 
@@ -85,8 +85,8 @@ class ModelConfig:
                              "give a grid instead")
         if self.hyperparameters is not None and self.grid is not None:
             raise ValueError("grid: a model with hyperparameters is not tuned")
-        if self.folds < 1:
-            raise ValueError(f"folds must be >= 1, got {self.folds}")
+        _check_int("folds", self.folds, 1)
+        _check_int("seed", self.seed, 0)
         if self.hyperparameters is None and not self.tune:
             # nothing specified: fall back to tuning with the default grid
             object.__setattr__(self, "tune", True)
@@ -105,7 +105,7 @@ class ExperimentConfig:
     data_synth: SynthSpec | None
     test_len: int
     model_configs: tuple[ModelConfig, ...]
-    setups: tuple[int, ...] = (1, 2, 3)
+    setups: tuple[int, ...] = SETUPS
     n_rounds: tuple[int, ...] = (5, 10)
     interval_families: tuple[str, ...] = tuple(INTERVAL_FAMILIES)
     train_missing: MissingSpec | None = None
@@ -122,16 +122,29 @@ class ExperimentConfig:
             raise ValueError("config must name exactly one data source (csv or synth)")
         if not self.model_configs:
             raise ValueError("config must list at least one model")
-        if not self.setups or any(s not in (1, 2, 3) for s in self.setups):
-            raise ValueError("setups must be a non-empty subset of (1, 2, 3)")
-        if not self.n_rounds or any(b < 1 for b in self.n_rounds):
-            raise ValueError("n_rounds must be positive")
+        for name in ("setups", "n_rounds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+            for value in getattr(self, name):
+                _check_int(name, value, 1)
+        if any(s not in SETUPS for s in self.setups):
+            raise ValueError(f"setups must be a subset of {SETUPS}, got {self.setups}")
         if not self.interval_families or any(
             f not in INTERVAL_FAMILIES for f in self.interval_families
         ):
             raise ValueError(f"interval_families must be drawn from {tuple(INTERVAL_FAMILIES)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.sampler_k is not None:
+            _check_int("sampler_k", self.sampler_k, 1)
+        _check_int("master_seed", self.master_seed, 0)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Reject a ``value`` of field ``name`` that is not an integer >= ``low``;
+    as in JSON, neither a bool nor a float is an integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # JSON keys that differ from the ExperimentConfig fields they fill
@@ -252,10 +265,9 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
 
     full = _load_data(config)
     train, test = split_chronological(full, config.test_len)
-    train_truth: GroundTruth | None = None
     test_truth: GroundTruth | None = None
     if config.train_missing is not None:
-        train, train_truth = inject_missing(train, config.train_missing)
+        train, _ = inject_missing(train, config.train_missing)
     if config.test_missing is not None:
         test, test_truth = inject_missing(test, config.test_missing)
 

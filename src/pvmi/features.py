@@ -7,8 +7,9 @@ irradiance, most recent first:
 
 and the target is the next hour's power ``y_t = P_{t+1}``. With 0-based
 hour indices the valid positions are ``t = 23 .. T-2``, giving ``N = T - 24``
-rows. The layout requires a fully observed series, so any missing hours must
-be imputed first.
+rows in time order: row ``i`` belongs to hour ``23 + i`` and predicts the
+power at hour ``24 + i``. The layout requires a fully observed series, so any
+missing hours must be imputed first.
 """
 
 from __future__ import annotations
@@ -26,23 +27,20 @@ N_FEATURES = 2 * WINDOW_HOURS
 
 @dataclass(frozen=True)
 class SupervisedDataset:
-    """Aligned (inputs, targets, time_index) arrays.
+    """Aligned (inputs, targets) arrays, one row per window in time order.
 
-    ``inputs`` has shape (N, 48); row ``i`` belongs to hour
-    ``time_index[i]`` and predicts the power at ``time_index[i] + 1``.
+    ``inputs`` has shape (N, 48) and ``targets`` shape (N,).
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    time_index: np.ndarray
 
     def __post_init__(self) -> None:
         if self.inputs.ndim != 2 or self.inputs.shape[1] != N_FEATURES:
             raise ValueError(f"inputs must have shape (N, {N_FEATURES})")
-        n = self.inputs.shape[0]
-        if self.targets.shape != (n,) or self.time_index.shape != (n,):
-            raise ValueError("targets and time_index must align with inputs")
-        for arr in (self.inputs, self.targets, self.time_index):
+        if self.targets.shape != (self.inputs.shape[0],):
+            raise ValueError("targets must align with inputs")
+        for arr in (self.inputs, self.targets):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -75,5 +73,4 @@ def build_training(series: HourlySeries) -> SupervisedDataset:
         x[:, 2 * lag] = series.power[start : start + n]
         x[:, 2 * lag + 1] = series.irradiance[start : start + n]
     y = series.power[WINDOW_HOURS:].copy()
-    idx = np.arange(WINDOW_HOURS - 1, t_total - 1)
-    return SupervisedDataset(inputs=x, targets=y, time_index=idx)
+    return SupervisedDataset(inputs=x, targets=y)

@@ -210,7 +210,6 @@ def fill_gaps(
         start=series.start,
         power=power,
         irradiance=series.irradiance,
-        mask=np.zeros(len(series), dtype=bool),
     )
 
 

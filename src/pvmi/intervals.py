@@ -58,6 +58,7 @@ _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 10_000
 _FPMIN = 1e-300
 _LOG_TINY = math.log(math.ulp(0.0))  # log of the smallest positive double
+_SHAPE_SCALE_RULE = "shape and scale must be positive and finite"
 
 
 def regularized_gamma_p(a: float, x: float) -> float:
@@ -122,13 +123,16 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
 
     Raises
     ------
+    ValueError
+        If ``shape`` or ``scale`` is 0, negative or infinite (moment matching
+        gives 0 or inf at the edge of the double range).
     ArithmeticError
         If the search does not converge.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("shape and scale must be positive")
+    if shape <= 0.0 or scale <= 0.0 or math.inf in (shape, scale):
+        raise ValueError(_SHAPE_SCALE_RULE)
 
     a = shape
     lgamma_a = math.lgamma(a)
@@ -251,6 +255,8 @@ def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
 
     Raises
     ------
+    ValueError
+        If the match of any element gives a shape or scale of 0 or inf.
     ArithmeticError
         If the quantile search of any element does not converge.
     """
@@ -264,7 +270,8 @@ def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
     upper = lower.copy()
     cut = positive & (variance != 0.0)
     m, v = mean[cut], variance[cut]
-    shape, scale = m * m / v, v / m  # gamma_shape_scale
+    with np.errstate(over="ignore"):  # an infinite shape is rejected below
+        shape, scale = m * m / v, v / m  # gamma_shape_scale
     n = shape.size
     q = _gamma_quantiles(np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], n),
                          np.tile(shape, 2), np.tile(scale, 2))
@@ -292,7 +299,9 @@ def _libm(fn, v: np.ndarray) -> np.ndarray:
 
 def _gamma_quantiles(p: np.ndarray, a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """:func:`gamma_quantile` for every element of the equal-length arrays
-    ``p`` (in (0, 1)), ``a`` and ``scale`` (positive)."""
+    ``p`` (in (0, 1)), ``a`` and ``scale``, with its errors."""
+    if np.any((a <= 0.0) | (scale <= 0.0) | (a == math.inf) | (scale == math.inf)):
+        raise ValueError(_SHAPE_SCALE_RULE)
     n = a.size
     lgamma_a = _libm(math.lgamma, a)
     t_floor = _LOG_TINY + np.maximum(0.0, -_libm(math.log, scale))

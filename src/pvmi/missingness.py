@@ -67,15 +67,13 @@ class GroundTruth:
     values: dict[int, float] = field(default_factory=dict)
 
     def restore(self, series: HourlySeries) -> HourlySeries:
-        """Undo the injection: put every stored value back and clear its mask."""
+        """Undo the injection: put every stored value back."""
         power = series.power.copy()
-        mask = series.mask.copy()
         for idx, value in self.values.items():
-            if not mask[idx]:
+            if not series.mask[idx]:
                 raise ValueError(f"hour {idx} is not missing in the given series")
             power[idx] = value
-            mask[idx] = False
-        return HourlySeries(series.start, power, series.irradiance, mask)
+        return HourlySeries(series.start, power, series.irradiance)
 
 
 def inject_missing(series: HourlySeries, spec: MissingSpec) -> tuple[HourlySeries, GroundTruth]:
@@ -87,10 +85,9 @@ def inject_missing(series: HourlySeries, spec: MissingSpec) -> tuple[HourlySerie
     length placed on the observed hours, otherwise ValueError is raised.
     """
     t = len(series)
-    mask = series.mask.copy()
     if spec.mode == MODE_EXPLICIT:
         chosen: list[int] = []
-        taken = mask.copy()
+        taken = series.mask.copy()
         for start, length in spec.blocks:
             if length <= 0:
                 raise ValueError(f"block length must be positive, got {length}")
@@ -104,14 +101,12 @@ def inject_missing(series: HourlySeries, spec: MissingSpec) -> tuple[HourlySerie
             taken[start : start + length] = True
             chosen.extend(range(start, start + length))
     else:
-        chosen = _place_random_blocks(mask, spec)
+        chosen = _place_random_blocks(series.mask, spec)
 
     power = series.power.copy()
     truth = {int(i): float(power[i]) for i in chosen}
-    for i in chosen:
-        power[i] = np.nan
-        mask[i] = True
-    return HourlySeries(series.start, power, series.irradiance, mask), GroundTruth(truth)
+    power[chosen] = np.nan
+    return HourlySeries(series.start, power, series.irradiance), GroundTruth(truth)
 
 
 def missing_fraction(series: HourlySeries) -> float:

@@ -59,7 +59,6 @@ def tune_chronological(family: str, data: SupervisedDataset, grid, folds: int,
             SupervisedDataset(
                 inputs=data.inputs[:train_end],
                 targets=data.targets[:train_end],
-                time_index=data.time_index[:train_end],
             ),
             data.inputs[train_end:val_end],
             data.targets[train_end:val_end],

@@ -1,10 +1,10 @@
 """Hourly PV series container and CSV round-tripping.
 
-A series couples three aligned columns sampled on a contiguous hourly grid:
-AC power (which may be missing), plane-of-array irradiance (always observed),
-and a missing-power mask. Power is stored as float64 with NaN marking the
-missing hours; the mask is the boolean mirror of that NaN pattern and is kept
-explicit because most of the package reasons in terms of the mask.
+A series couples two aligned columns sampled on a contiguous hourly grid:
+AC power, NaN where the reading is missing, and plane-of-array irradiance,
+always observed. NaN power is the one record of a missing hour; the series
+derives its missing-power mask from it, so a series is built from
+``(start, power, irradiance)`` alone.
 
 The on-disk format is a three-column CSV with header
 ``timestamp,power,irradiance``. Missing power is written as an empty cell and
@@ -29,7 +29,7 @@ _HOUR = timedelta(hours=1)
 
 @dataclass(frozen=True)
 class HourlySeries:
-    """Immutable, contiguous hourly record of (power, irradiance, mask).
+    """Immutable, contiguous hourly record of power and irradiance.
 
     Parameters
     ----------
@@ -39,33 +39,27 @@ class HourlySeries:
         AC power per hour; NaN where the reading is missing.
     irradiance : ndarray of float64
         Irradiance per hour; always finite and non-negative.
-    mask : ndarray of bool
-        True exactly where ``power`` is NaN.
+
+    ``mask`` is derived, not passed: True exactly where ``power`` is NaN.
     """
 
     start: datetime
     power: np.ndarray
     irradiance: np.ndarray
-    mask: np.ndarray = field(default=None)  # type: ignore[assignment]
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         power = np.asarray(self.power, dtype=np.float64).copy()
         irr = np.asarray(self.irradiance, dtype=np.float64).copy()
-        if self.mask is None:
-            mask = np.isnan(power)
-        else:
-            mask = np.asarray(self.mask, dtype=bool).copy()
-        if power.ndim != 1 or irr.ndim != 1 or mask.ndim != 1:
-            raise ValueError("power, irradiance and mask must be 1-D")
-        if not (len(power) == len(irr) == len(mask)):
+        if power.ndim != 1 or irr.ndim != 1:
+            raise ValueError("power and irradiance must be 1-D")
+        if len(power) != len(irr):
             raise ValueError(
-                f"column lengths differ: power={len(power)} "
-                f"irradiance={len(irr)} mask={len(mask)}"
+                f"column lengths differ: power={len(power)} irradiance={len(irr)}"
             )
         if len(power) == 0:
             raise ValueError("series must contain at least one hour")
-        if not np.array_equal(np.isnan(power), mask):
-            raise ValueError("mask must flag exactly the NaN power hours")
+        mask = np.isnan(power)
         observed = power[~mask]
         if observed.size and (not np.all(np.isfinite(observed)) or np.any(observed < 0)):
             raise DomainError("observed power must be finite and >= 0")
@@ -121,8 +115,8 @@ def parse_csv(text_or_path: str | Path) -> HourlySeries:
         except ValueError:
             raise ValueError(f"line {lineno}: bad timestamp {row[0]!r}") from None
         stamps.append(stamp)
-        power.append(_parse_power_cell(row[1], lineno))
-        irr.append(_parse_irradiance_cell(row[2], lineno))
+        power.append(_parse_cell(row[1], lineno, "power"))
+        irr.append(_parse_cell(row[2], lineno, "irradiance"))
 
     if not stamps:
         raise ValueError("CSV contains a header but no data rows")
@@ -172,13 +166,11 @@ def split_chronological(series: HourlySeries, test_len: int) -> tuple[HourlySeri
         start=series.start,
         power=series.power[:cut],
         irradiance=series.irradiance[:cut],
-        mask=series.mask[:cut],
     )
     tail = HourlySeries(
         start=series.start + cut * _HOUR,
         power=series.power[cut:],
         irradiance=series.irradiance[cut:],
-        mask=series.mask[cut:],
     )
     return head, tail
 
@@ -194,29 +186,20 @@ def _as_text(text_or_path: str | Path) -> str:
     return text_or_path
 
 
-def _parse_power_cell(cell: str, lineno: int) -> float:
+def _parse_cell(cell: str, lineno: int, column: str) -> float:
+    """One ``power`` or ``irradiance`` cell; an empty or NaN cell is a
+    missing reading, which only the power column may have."""
     cell = cell.strip()
     if cell == "" or cell.lower() == "nan":
+        if column == "irradiance":
+            raise DomainError(f"line {lineno}: irradiance must always be observed")
         return float("nan")
     try:
         value = float(cell)
     except ValueError:
-        raise ValueError(f"line {lineno}: bad power cell {cell!r}") from None
+        raise ValueError(f"line {lineno}: bad {column} cell {cell!r}") from None
     if value < 0:
-        raise DomainError(f"line {lineno}: negative power {value}")
-    return value
-
-
-def _parse_irradiance_cell(cell: str, lineno: int) -> float:
-    cell = cell.strip()
-    if cell == "" or cell.lower() == "nan":
-        raise DomainError(f"line {lineno}: irradiance must always be observed")
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad irradiance cell {cell!r}") from None
-    if value < 0:
-        raise DomainError(f"line {lineno}: negative irradiance {value}")
+        raise DomainError(f"line {lineno}: negative {column} {value}")
     return value
 
 

@@ -221,6 +221,25 @@ def test_config_from_json_names_a_missing_key(key):
         config_from_json(doc)
 
 
+@pytest.mark.parametrize("field, patch", [
+    ("n_rounds", {"n_rounds": [2.5]}),
+    ("n_rounds", {"n_rounds": ["2"]}),
+    ("n_rounds", {"n_rounds": [True]}),
+    ("setups", {"setups": [1.0, 2]}),
+    ("setups", {"setups": [True]}),
+    ("master_seed", {"master_seed": 1.5}),
+    ("master_seed", {"master_seed": -1}),
+    ("sampler_k", {"sampler_k": 2.5}),
+    ("folds", {"models": [{"family": "knn", "tune": True, "folds": 2.5}]}),
+    ("seed", {"models": [{"family": "mlp", "hyperparameters": {}, "seed": -1}]}),
+])
+def test_config_from_json_rejects_a_malformed_axis_or_seed(field, patch):
+    # each would otherwise fail late (after the sampler fit and tuning, with
+    # no summary.json), run with a truncated value, or echo ``true``
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        config_from_json({**MINIMAL_DOC, **patch})
+
+
 def test_model_config_rejects_unknown_hyperparameters():
     with pytest.raises(ValueError, match="'lamda'"):
         ModelConfig("lasso", {"lamda": 0.5})
@@ -522,6 +541,7 @@ def _pooled_by_pipeline(monkeypatch):
     return pooled
 
 
+@pytest.mark.threaded_blas
 def test_each_family_is_cut_once_with_the_bits_of_per_pipeline_cuts(tmp_path, monkeypatch):
     pooled = _pooled_by_pipeline(monkeypatch)
     calls = []

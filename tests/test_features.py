@@ -23,8 +23,8 @@ def test_minimal_series_yields_one_row():
     data = build_training(make_series(power, irr))
     assert data.inputs.shape == (1, 48)
     assert data.targets.shape == (1,)
-    assert data.time_index.tolist() == [23]
-    # interleaved (power, irradiance) pairs, most recent hour first
+    # row 0 belongs to hour 23: interleaved (power, irradiance) pairs, most
+    # recent hour first
     assert data.inputs[0, 0] == 23.0 and data.inputs[0, 1] == 0.23
     assert data.inputs[0, 2] == 22.0 and data.inputs[0, 3] == 0.22
     assert data.inputs[0, 46] == 0.0 and data.inputs[0, 47] == 0.0
@@ -35,14 +35,17 @@ def test_row_count_and_time_index():
     T = 100
     data = build_training(make_series(np.arange(T, dtype=float)))
     assert len(data) == T - 24
-    assert data.time_index.tolist() == list(range(23, T - 1))
+    # row i belongs to hour 23 + i and predicts hour 24 + i
+    assert data.inputs[:, 0].tolist() == list(range(23, T - 1))
+    assert data.targets.tolist() == list(range(24, T))
 
 
 def test_lag_layout_on_random_data(rng):
     power = rng.uniform(0, 5, 60)
     irr = rng.uniform(0, 1, 60)
     data = build_training(make_series(power, irr))
-    for row, t in enumerate(data.time_index):
+    for row in range(len(data)):
+        t = 23 + row  # the hour the row belongs to
         for lag in range(24):
             assert data.inputs[row, 2 * lag] == power[t - lag]
             assert data.inputs[row, 2 * lag + 1] == irr[t - lag]
@@ -71,6 +74,6 @@ def test_dataset_arrays_read_only():
 
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):
-        SupervisedDataset(np.zeros((3, 47)), np.zeros(3), np.arange(3))
+        SupervisedDataset(np.zeros((3, 47)), np.zeros(3))
     with pytest.raises(ValueError):
-        SupervisedDataset(np.zeros((3, 48)), np.zeros(4), np.arange(3))
+        SupervisedDataset(np.zeros((3, 48)), np.zeros(4))

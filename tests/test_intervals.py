@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -323,3 +324,18 @@ def test_array_bounds_reject_what_the_scalar_intervals_reject():
         gamma_interval(1.0, math.nan, 0.05)
     with pytest.raises(ArithmeticError):
         gamma_bounds(np.array([1.0, 1.0]), np.array([0.5, math.nan]), 0.05)
+
+
+@pytest.mark.parametrize("mean, variance", [
+    (1e-300, 1.0),   # the shape underflows to 0
+    (3.0, 5e-324),   # the scale underflows to 0 and the shape overflows
+    (1.0, 1e-310),   # the shape overflows to inf
+])
+def test_both_gamma_layers_reject_a_zero_or_infinite_match(mean, variance):
+    rule = "^shape and scale must be positive and finite$"
+    with pytest.raises(ValueError, match=rule):
+        gamma_interval(mean, variance, 0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the match itself warns about nothing
+        with pytest.raises(ValueError, match=rule):
+            gamma_bounds(np.array([2.0, mean]), np.array([0.5, variance]), 0.05)

@@ -35,9 +35,7 @@ def make_dataset(rng, n, target_fn=None):
         targets = rng.normal(size=n)
     else:
         targets = target_fn(inputs)
-    return SupervisedDataset(
-        inputs=inputs, targets=targets, time_index=np.arange(23, 23 + n)
-    )
+    return SupervisedDataset(inputs=inputs, targets=targets)
 
 
 # ---------------------------------------------------------------- scaling
@@ -151,6 +149,7 @@ def distance_rows(draw):
     return d2, k
 
 
+@pytest.mark.threaded_blas
 @settings(max_examples=300, deadline=None)
 @given(case=distance_rows())
 def test_k_nearest_matches_a_stable_sort(case):
@@ -175,6 +174,7 @@ def reference_distances(x, q):
         yield d2 + (x ** 2).sum(axis=1)
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("rows", [128, None])  # several chunks; the default
 def test_knn_distances_equal_the_reference_product_bit_for_bit(pv_windows, monkeypatch, rows):
     x, y = pv_windows
@@ -243,6 +243,7 @@ def test_knn_loo_variance_excludes_self_among_tied_inputs():
     assert model.loo_residual_variance() == 4.0
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_knn_ties_go_to_the_smaller_index(k):
     # +-1 inputs with every column balanced standardize to themselves, so
@@ -269,6 +270,7 @@ def test_knn_ties_go_to_the_smaller_index(k):
     assert model.loo_residual_variance() == pytest.approx(np.mean(np.square(loo)), rel=1e-12)
 
 
+@pytest.mark.threaded_blas
 def test_knn_results_do_not_depend_on_the_chunk_size(pv_windows, monkeypatch):
     x, y = pv_windows
     model = KNNRegressor.fit(x[:300], y[:300], k=4)
@@ -586,6 +588,7 @@ def mlp_cases(draw):
     return x, y, hidden, draw(st.sampled_from([1e-3, 1e-2, 0.3])), draw(st.integers(1, 30)), seed
 
 
+@pytest.mark.threaded_blas
 @settings(max_examples=150, deadline=None)
 @given(mlp_cases())
 def test_mlp_fit_equals_the_allocating_oracle_bit_for_bit(case):
@@ -597,6 +600,7 @@ def test_mlp_fit_equals_the_allocating_oracle_bit_for_bit(case):
         _assert_same_bits(model.params[name], value)
 
 
+@pytest.mark.threaded_blas
 @pytest.mark.parametrize("n, n_in, hidden, iterations",
                          [(1, 1, (1, 1), 1), (1, 3, (4, 2), 5), (7, 1, (1, 3), 1),
                           (456, 48, (48, 24), 3)])
@@ -637,9 +641,7 @@ def test_fit_rejects_non_finite_data(rng):
     data = make_dataset(rng, 30)
     inputs = data.inputs.copy()
     inputs[3, 7] = np.nan
-    bad = SupervisedDataset(
-        inputs=inputs, targets=data.targets.copy(), time_index=data.time_index.copy()
-    )
+    bad = SupervisedDataset(inputs=inputs, targets=data.targets.copy())
     with pytest.raises(DataError):
         fit(RegressorSpec("knn", {"k": 2}), bad)
 
@@ -656,7 +658,6 @@ def test_residual_variance_of_constant_predictor():
     data = SupervisedDataset(
         inputs=np.zeros((2, 48)),
         targets=np.array([4.0, 6.0]),
-        time_index=np.array([23, 24]),
     )
     model = fit(RegressorSpec("knn", {"k": 2}), data)
     assert residual_variance(model, data) == 1.0
@@ -703,7 +704,6 @@ def test_tune_prefers_local_fit_on_noiseless_data(rng):
     data = SupervisedDataset(
         inputs=inputs,
         targets=np.sin(inputs[:, 0]),
-        time_index=np.arange(23, 263),
     )
     grid = [{"k": 1}, {"k": 2}, {"k": 8}, {"k": 32}]
     assert tune_chronological("knn", data, grid, folds=3).hyperparameters == {"k": 1}

@@ -23,6 +23,8 @@ from pvmi import (
 from pvmi.missingness import MODE_FRACTION
 from pvmi.pipeline import Completions, Pipeline, _round_variance
 
+pytestmark = pytest.mark.threaded_blas
+
 SPEC = RegressorSpec("knn", {"k": 3})
 FAMILY_SPECS = {
     "knn": SPEC,

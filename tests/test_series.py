@@ -115,6 +115,12 @@ def test_parse_rejects_missing_or_negative_irradiance():
         parse_csv("timestamp,power,irradiance\n2022-01-01T00:00:00,1,-2\n")
 
 
+@pytest.mark.parametrize("row, column", [("x,1", "power"), ("1,x", "irradiance")])
+def test_parse_rejects_a_non_numeric_cell_naming_its_column(row, column):
+    with pytest.raises(ValueError, match=f"line 2: bad {column} cell 'x'"):
+        parse_csv(f"timestamp,power,irradiance\n2022-01-01T00:00:00,{row}\n")
+
+
 def test_parse_rejects_wrong_cell_count():
     with pytest.raises(ValueError, match="3 cells"):
         parse_csv("timestamp,power,irradiance\n2022-01-01T00:00:00,1\n")
@@ -125,12 +131,8 @@ def test_series_mask_derived_from_nan():
                      np.array([0.5, 0.5]))
     assert s.mask.tolist() == [False, True]
     assert s.n_missing() == 1
-
-
-def test_series_rejects_inconsistent_mask():
-    with pytest.raises(ValueError, match="mask"):
-        HourlySeries(datetime(2022, 1, 1), np.array([1.0, np.nan]),
-                     np.array([0.5, 0.5]), np.array([False, False]))
+    with pytest.raises(TypeError):  # the mask is derived, never passed
+        HourlySeries(START, np.array([1.0]), np.array([0.5]), np.array([False]))
 
 
 def test_series_rejects_length_mismatch_and_empty():
