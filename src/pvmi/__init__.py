@@ -30,7 +30,7 @@ from .metrics import EvalReport, coverage, evaluate, nrmse
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
 from .models import RegressorSpec, fit, residual_variance, tune_chronological
 from .pipeline import run_pipeline
-from .pooling import PooledPrediction, RoundPrediction, rubin_pool
+from .pooling import PooledPrediction, rubin_pool
 from .series import HourlySeries, parse_csv, split_chronological, write_csv
 from .synth import SynthSpec, generate
 
@@ -54,7 +54,6 @@ __all__ = [
     "PooledPrediction",
     "PredictionInterval",
     "RegressorSpec",
-    "RoundPrediction",
     "SupervisedDataset",
     "SynthSpec",
     "WINDOW_HOURS",

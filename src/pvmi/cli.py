@@ -109,11 +109,13 @@ def _cmd_impute(args) -> int:
     if unknown:
         raise ValueError(f"unknown impute config key(s) {unknown}")
     mode = doc.get("mode", "single")
+    if mode not in ("single", "stochastic"):
+        raise ValueError(f"mode must be 'single' or 'stochastic', got {mode!r}")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     series = parse_csv(args.data)
     sampler = fit_sampler(series, k=doc.get("k"))
     rng = np.random.default_rng(seed) if mode == "stochastic" else None
-    completed = complete_series(series, sampler, mode, rng)
+    completed = complete_series(series, sampler, rng)
     write_csv(completed, args.out)
     print(f"completed {int(series.mask.sum())} missing hours (k={sampler.k}) -> {args.out}")
     return 0

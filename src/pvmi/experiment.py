@@ -68,11 +68,12 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     """One model family in the grid, either with explicit hyperparameters or
-    tuned on the training data before any cell runs."""
+    tuned on the training data before any cell runs. ``tune`` follows from
+    ``hyperparameters``; given, it must agree."""
 
     family: str
     hyperparameters: dict | None = None
-    tune: bool = False
+    tune: bool | None = None
     grid: tuple | None = None
     folds: int = 3
     seed: int = 0
@@ -80,16 +81,19 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.family not in models.FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
+        if self.tune is not None and not isinstance(self.tune, bool):
+            raise ValueError(f"tune must be true or false, got {self.tune!r}")
         if self.hyperparameters is not None and self.tune:
             raise ValueError("tune: a model with hyperparameters is not tuned; "
                              "give a grid instead")
+        if self.hyperparameters is None and self.tune is False:
+            raise ValueError("tune: a model without hyperparameters is tuned; "
+                             "give hyperparameters instead")
         if self.hyperparameters is not None and self.grid is not None:
             raise ValueError("grid: a model with hyperparameters is not tuned")
         _check_int("folds", self.folds, 1)
         _check_int("seed", self.seed, 0)
-        if self.hyperparameters is None and not self.tune:
-            # nothing specified: fall back to tuning with the default grid
-            object.__setattr__(self, "tune", True)
+        object.__setattr__(self, "tune", self.hyperparameters is None)
         if self.tune and self.grid is None and self.family == "mlp":
             raise ValueError("the mlp has no default grid: give it hyperparameters "
                              "or a grid to tune over")
@@ -273,7 +277,7 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
 
     sampler = fit_sampler(train, k=config.sampler_k)
     completions = Completions(train, test, sampler)
-    resolved_specs, tuned_flags = _resolve_models(config, completions)
+    resolved_specs = _resolve_models(config, completions)
     pipelines = [Pipeline(completions, spec) for spec in resolved_specs]
 
     truth_restored = test_truth.restore(test) if test_truth is not None else test
@@ -335,13 +339,13 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
         "test_missing_fraction": _round(missing_fraction(test)),
         "models": [
             {
-                "label": labels[i],
+                "label": label,
                 "family": spec.family,
                 "hyperparameters": spec.hyperparameters,
                 "seed": spec.seed,
-                "tuned": tuned_flags[i],
+                "tuned": mc.tune,
             }
-            for i, spec in enumerate(resolved_specs)
+            for label, mc, spec in zip(labels, config.model_configs, resolved_specs)
         ],
         "cells": manifest_cells,
         "config": _config_echo(config),
@@ -441,15 +445,14 @@ def _load_data(config: ExperimentConfig) -> HourlySeries:
     return generate(config.data_synth)
 
 
-def _resolve_models(config: ExperimentConfig, completions: Completions):
+def _resolve_models(config: ExperimentConfig,
+                    completions: Completions) -> list[models.RegressorSpec]:
     """Turn every ModelConfig into a concrete RegressorSpec, tuning on the
     single-imputed training set where requested."""
     specs: list[models.RegressorSpec] = []
-    tuned: list[bool] = []
     for mc in config.model_configs:
         if not mc.tune:
             specs.append(models.RegressorSpec(mc.family, mc.hyperparameters, mc.seed))
-            tuned.append(False)
             continue
         train_ds = completions.train_single
         if mc.grid is not None:
@@ -462,8 +465,7 @@ def _resolve_models(config: ExperimentConfig, completions: Completions):
         spec = models.tune_chronological(mc.family, train_ds, grid, folds=mc.folds,
                                          seed=mc.seed)
         specs.append(spec)
-        tuned.append(True)
-    return specs, tuned
+    return specs
 
 
 def _score_fields(scores: EvalReport) -> dict:

@@ -8,9 +8,9 @@ power given irradiance. Drawing from it gives a stochastic imputation,
 averaging it gives the usual single (point) imputation.
 
 A completion takes two steps: :func:`gap_neighbors` finds the k neighbours
-of every missing hour, and :func:`fill_gaps` writes their mean or one draw
-among them. Repeated completions of one series reuse the first step;
-:func:`complete_series` does both.
+of every missing hour, and :func:`fill_gaps` writes their mean, or one draw
+among them when given a generator. Repeated completions of one series reuse
+the first step; :func:`complete_series` does both.
 
 The neighbourhood size k can be fixed or chosen automatically by
 leave-one-out mean squared error of the neighbourhood mean over a small
@@ -183,27 +183,22 @@ def fill_gaps(
     series: HourlySeries,
     sampler: ConditionalSampler,
     gaps,
-    mode: str,
     rng: np.random.Generator | None = None,
 ) -> HourlySeries:
     """Fill the missing hours of ``series`` from their neighbours ``gaps``, the
     pair :func:`gap_neighbors` returns.
 
-    ``mode="single"`` writes the neighbourhood mean, ``mode="stochastic"``
-    writes an independent draw per missing hour (``rng`` required), one
+    With no ``rng`` each missing hour gets its neighbourhood mean; with one
+    it gets an independent draw among its neighbours, one
     ``rng.integers(0, k, size=m)`` call for the m missing hours. The result
     has no missing values; observed hours are untouched.
     """
-    if mode not in ("single", "stochastic"):
-        raise ValueError(f"mode must be 'single' or 'stochastic', got {mode!r}")
     missing, nbrs = gaps
     power = series.power.copy()
     if missing.size:
-        if mode == "single":
+        if rng is None:
             power[missing] = sampler.power[nbrs].mean(axis=1)
         else:
-            if rng is None:
-                raise ValueError("stochastic completion requires an rng")
             cols = rng.integers(0, sampler.k, size=missing.size)
             power[missing] = sampler.power[nbrs[np.arange(missing.size), cols]]
     return HourlySeries(
@@ -216,12 +211,11 @@ def fill_gaps(
 def complete_series(
     series: HourlySeries,
     sampler: ConditionalSampler,
-    mode: str,
     rng: np.random.Generator | None = None,
 ) -> HourlySeries:
     """Fill every missing hour of ``series`` using the sampler: the
     :func:`fill_gaps` of its :func:`gap_neighbors`."""
-    return fill_gaps(series, sampler, gap_neighbors(series, sampler), mode, rng)
+    return fill_gaps(series, sampler, gap_neighbors(series, sampler), rng)
 
 
 def _require_finite(irradiance: np.ndarray, what: str) -> None:

@@ -250,8 +250,8 @@ def normal_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
 def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of :func:`gamma_interval` for every element:
-    [0, 0] where the mean is not positive, [mean, mean] where the variance is
-    0, the gamma quantiles elsewhere.
+    [0, 0] where ``mean <= 0``, [mean, mean] where the variance is 0, the
+    gamma quantiles elsewhere.
 
     Raises
     ------
@@ -263,7 +263,7 @@ def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
     _check_alpha(alpha)
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    positive = mean > 0.0
+    positive = ~(mean <= 0.0)  # a NaN mean fails the search, as in gamma_interval
     if np.any(variance[positive] < 0.0):
         raise ValueError("variance must be non-negative")
     lower = np.where(positive, mean, 0.0)

@@ -39,9 +39,10 @@ and predicts, in setups 1-2, only the test rows whose window holds a gap; in
 setup 3 it fits the round's own model and predicts every row. A gap-free row
 is predicted once, in one batch, and every round reuses that forecast, so
 its rounds agree exactly: its pooled mean is that forecast and its
-between-round variance is zero. Each round's forecasts form one
-array :class:`~pvmi.pooling.RoundPrediction`, and one ``rubin_pool`` call
-pools every hour of the cell.
+between-round variance is zero. The rounds fill one (B, hours) stack of
+forecasts and a (B,) array of round variances, allocated once per pooling,
+with the gap-free columns written once for all rounds; one ``rubin_pool``
+call pools every hour of the cell.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import numpy as np
 from . import models
 from .features import WINDOW_HOURS, SupervisedDataset, build_training
 from .imputation import ConditionalSampler, fill_gaps, fit_sampler, gap_neighbors
-from .pooling import PooledPrediction, RoundPrediction, rubin_pool
+from .pooling import PooledPrediction, rubin_pool
 from .series import HourlySeries
 
 SETUPS = (1, 2, 3)
@@ -120,7 +121,7 @@ class Completions:
 
     @cached_property
     def train_single(self) -> SupervisedDataset:
-        return self._windows(self.train, self.train_gaps, "single")
+        return self._windows(self.train, self.train_gaps)
 
     @cached_property
     def gap_rows(self) -> np.ndarray:
@@ -132,16 +133,16 @@ class Completions:
     def test_single(self) -> SupervisedDataset:
         # not kept: each spec uses it once or twice, and it is as large as a
         # round's test set
-        return self._windows(self.test, self.test_gaps, "single")
+        return self._windows(self.test, self.test_gaps)
 
     def train_draw(self, rng: np.random.Generator) -> SupervisedDataset:
-        return self._windows(self.train, self.train_gaps, "stochastic", rng)
+        return self._windows(self.train, self.train_gaps, rng)
 
     def test_draw(self, rng: np.random.Generator) -> SupervisedDataset:
-        return self._windows(self.test, self.test_gaps, "stochastic", rng)
+        return self._windows(self.test, self.test_gaps, rng)
 
-    def _windows(self, series, gaps, mode, rng=None) -> SupervisedDataset:
-        return build_training(fill_gaps(series, self.sampler, gaps, mode, rng))
+    def _windows(self, series, gaps, rng=None) -> SupervisedDataset:
+        return build_training(fill_gaps(series, self.sampler, gaps, rng))
 
 
 class Pipeline:
@@ -187,27 +188,26 @@ class Pipeline:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         b_total = 1 if setup == 1 else int(n_rounds)
         c = self.completions
+        means = np.empty((b_total, c.gap_rows.size))  # row b: round b's forecasts
+        variances = np.empty(b_total)
         if setup in (1, 2):
             model, var = self.shared
-            free_means = self.gap_free_means
+            variances[:] = var
             gap = c.gap_rows
+            means[:, ~gap] = self.gap_free_means
 
-        rounds: list[RoundPrediction] = []
-        for b in range(1, b_total + 1):
-            rng = np.random.default_rng([seed, b])
+        for b in range(b_total):
+            rng = np.random.default_rng([seed, b + 1])
             if setup == 3:
                 train_ds = c.train_draw(rng)  # drawn before the test series
                 model = models.fit(self.spec, train_ds)
-                var = _round_variance(model, train_ds)
-                means = model.predict(c.test_draw(rng).inputs)
+                variances[b] = _round_variance(model, train_ds)
+                means[b] = model.predict(c.test_draw(rng).inputs)
             else:
                 # only the gap rows' windows outlive this line
                 inputs = (c.test_single() if setup == 1 else c.test_draw(rng)).inputs[gap]
-                means = np.empty(gap.size)
-                means[~gap] = free_means
-                means[gap] = model.predict(inputs)
-            rounds.append(RoundPrediction(mean=means, variance=float(var)))
-        return rubin_pool(rounds)
+                means[b, gap] = model.predict(inputs)
+        return rubin_pool(means, variances)
 
 
 def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> float:

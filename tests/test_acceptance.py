@@ -16,7 +16,6 @@ from scipy import integrate, optimize
 from pvmi import (
     MissingSpec,
     RegressorSpec,
-    RoundPrediction,
     SynthSpec,
     coverage,
     gamma_interval,
@@ -65,8 +64,8 @@ def test_criterion_1_pooling_identities():
         b = int(rng.integers(1, 11))
         means = rng.normal(scale=4.0, size=b)
         variances = rng.uniform(0.0, 3.0, size=b)
-        rounds = [RoundPrediction(float(m), float(v)) for m, v in zip(means, variances)]
-        pooled = rubin_pool(rounds)
+        # one hour's B rounds, as a (B, 1) stack
+        (pooled,) = rubin_pool(means[:, None], variances).hours()
 
         within = float(np.mean(variances))
         between = float(np.var(means, ddof=1)) if b > 1 else 0.0
@@ -75,9 +74,9 @@ def test_criterion_1_pooling_identities():
         if b == 1 and pooled.between_var != 0.0:
             b1_exact = False
 
-        shuffled = list(rounds)
-        rng.shuffle(shuffled)
-        if rubin_pool(shuffled) != pooled:
+        order = list(range(b))
+        rng.shuffle(order)
+        if rubin_pool(means[order, None], variances[order]).hours() != [pooled]:
             permutation_exact = False
     elapsed = time.perf_counter() - t0
 

@@ -79,6 +79,13 @@ def test_model_config_defaults_to_tuning():
         ModelConfig("boost")
 
 
+@pytest.mark.parametrize("tune", [1, 0, "true", "false", 1.0])
+def test_model_config_tune_must_be_a_json_bool(tune):
+    with pytest.raises(ValueError, match="^tune"):
+        config_from_json({**MINIMAL_DOC, "models": [{"family": "knn", "tune": tune}]})
+    assert ModelConfig("knn", {"k": 3}, tune=False).tune is False
+
+
 def test_model_config_needs_a_grid_to_tune_the_mlp():
     with pytest.raises(ValueError, match="grid"):
         ModelConfig("mlp")
@@ -94,6 +101,8 @@ def test_model_config_rejects_contradictory_fields():
         ModelConfig("lasso", {"lam": 0.1}, grid=({"lam": 0.2},))
     with pytest.raises(ValueError, match="^tune"):
         ModelConfig("knn", {"k": 3}, tune=True)
+    with pytest.raises(ValueError, match="^tune"):
+        ModelConfig("knn", tune=False)  # used to be tuned anyway
     with pytest.raises(ValueError, match="^folds"):
         ModelConfig("knn", tune=True, folds=0)
     with pytest.raises(ValueError, match="^folds"):
@@ -687,6 +696,15 @@ def test_cli_impute_rejects_unknown_keys(tmp_path):
     write_csv(generate(SynthSpec(days=3, seed=4)), data)
     cfg = write_json(tmp_path / "impute.json", {"mode": "single", "K": 2, "sed": 1})
     with pytest.raises(ValueError, match=r"\['K', 'sed'\]"):
+        main(["impute", str(data), "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_impute_rejects_an_unknown_mode(tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv(generate(SynthSpec(days=3, seed=4)), data)
+    cfg = write_json(tmp_path / "impute.json", {"mode": "bogus"})
+    with pytest.raises(ValueError, match="^mode must be 'single' or 'stochastic', got 'bogus'$"):
         main(["impute", str(data), "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
     assert not (tmp_path / "c.csv").exists()
 

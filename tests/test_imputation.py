@@ -99,7 +99,7 @@ def test_mean_power_is_neighbor_average():
     s = make_series([1.0, 2.0, 3.0, 50.0], [0.10, 0.11, 0.12, 0.9])
     sampler = fit_sampler(s, k=3)
     gap = make_series([np.nan], [0.11])
-    assert complete_series(gap, sampler, "single").power[0] == pytest.approx(2.0)
+    assert complete_series(gap, sampler).power[0] == pytest.approx(2.0)
 
 
 def _distances(irr, queries, hold_out):
@@ -169,7 +169,7 @@ def test_complete_single_mode_uses_neighbor_mean():
     irr = np.array([0.1, 0.2, 0.3, 0.4])
     s = _series_with_gap(irr, [1.0, 2.0, 3.0, 4.0], gap=[2])
     sampler = fit_sampler(s, k=3)
-    done = complete_series(s, sampler, "single")
+    done = complete_series(s, sampler)
     assert done.n_missing() == 0
     # neighbours of irradiance 0.3 among observed pairs {0.1, 0.2, 0.4}
     assert done.power[2] == pytest.approx((1.0 + 2.0 + 4.0) / 3)
@@ -182,8 +182,8 @@ def test_complete_single_is_deterministic():
     p[40:80] = np.nan
     s = make_series(p, rng.uniform(0, 1, 300))
     sampler = fit_sampler(s, k=9)
-    a = complete_series(s, sampler, "single")
-    b = complete_series(s, sampler, "single")
+    a = complete_series(s, sampler)
+    b = complete_series(s, sampler)
     assert np.array_equal(a.power, b.power)
 
 
@@ -194,30 +194,32 @@ def test_complete_stochastic_draws_neighbor_values():
     p[missing] = np.nan
     s = make_series(p, rng.uniform(0, 1, 200))
     sampler = fit_sampler(s, k=5)
-    done = complete_series(s, sampler, "stochastic", rng=np.random.default_rng(1))
+    done = complete_series(s, sampler, rng=np.random.default_rng(1))
     assert done.n_missing() == 0
     observed_values = set(s.power[~s.mask].tolist())
     assert all(v in observed_values for v in done.power[missing])
     # same seed reproduces, different seed varies
-    again = complete_series(s, sampler, "stochastic", rng=np.random.default_rng(1))
-    other = complete_series(s, sampler, "stochastic", rng=np.random.default_rng(2))
+    again = complete_series(s, sampler, rng=np.random.default_rng(1))
+    other = complete_series(s, sampler, rng=np.random.default_rng(2))
     assert np.array_equal(done.power, again.power)
     assert not np.array_equal(done.power, other.power)
 
 
-def test_complete_stochastic_requires_rng():
-    s = _series_with_gap([0.1, 0.2, 0.3], [1, 2, 3], gap=[1])
-    sampler = fit_sampler(s, k=1)
-    with pytest.raises(ValueError, match="rng"):
-        complete_series(s, sampler, "stochastic")
-    with pytest.raises(ValueError, match="mode"):
-        complete_series(s, sampler, "typo")
+def test_complete_draws_only_given_an_rng():
+    s = _series_with_gap([0.1, 0.2, 0.3, 0.4], [1.0, 2.0, 3.0, 4.0], gap=[2])
+    sampler = fit_sampler(s, k=2)
+    # no generator: the mean of the neighbours 0.2 and 0.4, every time
+    assert complete_series(s, sampler).power[2] == 3.0
+    # a generator: one of the neighbours, drawn by one rng.integers(0, k, size=m)
+    cols = np.random.default_rng(9).integers(0, 2, size=1)
+    drawn = complete_series(s, sampler, np.random.default_rng(9)).power[2]
+    assert drawn == [2.0, 4.0][cols[0]]
 
 
 def test_complete_no_missing_is_identity():
     s = make_series([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
     sampler = fit_sampler(s, k=2)
-    done = complete_series(s, sampler, "single")
+    done = complete_series(s, sampler)
     assert np.array_equal(done.power, s.power)
 
 

@@ -326,6 +326,19 @@ def test_array_bounds_reject_what_the_scalar_intervals_reject():
         gamma_bounds(np.array([1.0, 1.0]), np.array([0.5, math.nan]), 0.05)
 
 
+def test_a_nan_mean_fails_both_gamma_layers_alike():
+    # a NaN mean is not "not positive": it fails the search, never [0, 0]
+    with pytest.raises(ArithmeticError):
+        gamma_interval(math.nan, 1.0, 0.05)
+    with pytest.raises(ArithmeticError):
+        gamma_bounds(np.array([1.0, math.nan]), np.array([0.5, 1.0]), 0.05)
+    # with a zero variance both give the point [nan, nan], which is rejected
+    with pytest.raises(ValueError, match="NaN"):
+        gamma_interval(math.nan, 0.0, 0.05)
+    with pytest.raises(ValueError, match="NaN"):
+        gamma_bounds(np.array([math.nan]), np.array([0.0]), 0.05)
+
+
 @pytest.mark.parametrize("mean, variance", [
     (1e-300, 1.0),   # the shape underflows to 0
     (3.0, 5e-324),   # the scale underflows to 0 and the shape overflows

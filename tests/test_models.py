@@ -441,7 +441,7 @@ def pv_windows():
     train, _ = pvmi.split_chronological(full, 480)
     train, _ = pvmi.inject_missing(train, pvmi.MissingSpec(
         "target-fraction", target_fraction=0.3, block_len_hours=48, seed=1165307468))
-    completed = pvmi.complete_series(train, pvmi.fit_sampler(train), "single")
+    completed = pvmi.complete_series(train, pvmi.fit_sampler(train))
     data = pvmi.build_training(completed)
     return data.inputs, data.targets
 

@@ -7,7 +7,6 @@ from pvmi import (
     MissingSpec,
     PooledPrediction,
     RegressorSpec,
-    RoundPrediction,
     SynthSpec,
     build_training,
     complete_series,
@@ -40,23 +39,24 @@ def reference_run_pipeline(train, test, spec, setup, n_rounds=5, seed=0, sampler
     b_total = 1 if setup == 1 else n_rounds
     sampler = fit_sampler(train, k=sampler_k)
     if setup in (1, 2):
-        train_ds = build_training(complete_series(train, sampler, "single"))
+        train_ds = build_training(complete_series(train, sampler))
         shared_model = fit(spec, train_ds)
         shared_var = _round_variance(shared_model, train_ds)
     means, variances = [], []
     for b in range(1, b_total + 1):
         rng = np.random.default_rng([seed, b])
         if setup == 3:
-            train_ds = build_training(complete_series(train, sampler, "stochastic", rng))
+            train_ds = build_training(complete_series(train, sampler, rng))
             model = fit(spec, train_ds)
             var = _round_variance(model, train_ds)
         else:
             model, var = shared_model, shared_var
-        test_b = complete_series(test, sampler, "single" if setup == 1 else "stochastic", rng)
+        test_b = complete_series(test, sampler, None if setup == 1 else rng)
         means.append(model.predict(build_training(test_b).inputs))
         variances.append(var)
+    # each hour pooled alone, as a (B, 1) stack
     return [
-        rubin_pool([RoundPrediction(float(m[i]), float(v)) for m, v in zip(means, variances)])
+        rubin_pool(np.array([[m[i]] for m in means]), np.array(variances)).hours()[0]
         for i in range(len(means[0]))
     ]
 

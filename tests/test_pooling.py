@@ -1,4 +1,4 @@
-"""Multiple-imputation pooling of per-round (mean, variance) forecasts."""
+"""Multiple-imputation pooling of a (B, hours) stack of round forecasts."""
 
 import math
 
@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvmi import PooledPrediction, RoundPrediction, rubin_pool
+from pvmi import PooledPrediction, rubin_pool
+
+
+def _column(means, variances) -> PooledPrediction:
+    """One hour's rounds pooled as a (B, 1) stack; its scalar pooling."""
+    (hour,) = rubin_pool(np.reshape(means, (-1, 1)), variances).hours()
+    return hour
 
 
 def test_two_round_hand_example():
-    pooled = rubin_pool([RoundPrediction(1.0, 0.5), RoundPrediction(3.0, 1.5)])
+    pooled = _column([1.0, 3.0], [0.5, 1.5])
     assert pooled.mean == 2.0
     assert pooled.within_var == 1.0
     assert pooled.between_var == 2.0  # ((1-2)^2 + (3-2)^2) / (2-1)
@@ -20,7 +26,7 @@ def test_two_round_hand_example():
 
 
 def test_single_round_collapses_to_its_own_variance():
-    pooled = rubin_pool([RoundPrediction(1.7, 0.9)])
+    pooled = _column([1.7], [0.9])
     assert pooled.mean == 1.7
     assert pooled.between_var == 0.0
     assert pooled.within_var == 0.9
@@ -34,9 +40,7 @@ def test_pooled_fields_match_numpy_oracle(rng):
         b = int(rng.integers(1, 11))
         means = rng.normal(scale=5.0, size=b)
         variances = rng.uniform(0.0, 3.0, size=b)
-        pooled = rubin_pool(
-            [RoundPrediction(float(m), float(v)) for m, v in zip(means, variances)]
-        )
+        pooled = _column(means, variances)
 
         within = float(np.mean(variances))
         between = float(np.var(means, ddof=1)) if b > 1 else 0.0
@@ -49,38 +53,36 @@ def test_pooled_fields_match_numpy_oracle(rng):
 
 
 def test_pooling_is_order_invariant_bitwise(rng):
-    rounds = [
-        RoundPrediction(float(m), float(v))
-        for m, v in zip(rng.normal(size=9), rng.uniform(0.1, 2.0, size=9))
-    ]
-    base = rubin_pool(rounds)
+    means = rng.normal(size=(9, 4))
+    variances = rng.uniform(0.1, 2.0, size=9)
+    base = rubin_pool(means, variances).hours()
     for _ in range(20):
-        shuffled = list(rounds)
-        rng.shuffle(shuffled)
-        again = rubin_pool(shuffled)
-        assert again == base  # exact, not approximate
+        order = rng.permutation(9)
+        assert rubin_pool(means[order], variances[order]).hours() == base  # exact
 
 
 def test_more_disagreement_means_more_total_variance():
-    tight = rubin_pool([RoundPrediction(m, 1.0) for m in (2.0, 2.1, 1.9)])
-    loose = rubin_pool([RoundPrediction(m, 1.0) for m in (1.0, 3.0, 2.0)])
+    tight = _column([2.0, 2.1, 1.9], [1.0] * 3)
+    loose = _column([1.0, 3.0, 2.0], [1.0] * 3)
     assert tight.within_var == loose.within_var
     assert loose.total_var > tight.total_var
 
 
 def test_rejects_empty_and_invalid_rounds():
-    with pytest.raises(ValueError, match="empty"):
-        rubin_pool([])
+    with pytest.raises(ValueError, match="stack"):
+        rubin_pool(np.zeros(3), np.ones(3))  # a 1-D stack
+    with pytest.raises(ValueError, match="B >= 1"):
+        rubin_pool(np.zeros((0, 3)), np.zeros(0))
+    with pytest.raises(ValueError, match="one variance per round"):
+        rubin_pool(np.zeros((2, 3)), np.ones(3))
+    with pytest.raises(ValueError, match="one variance per round"):
+        rubin_pool(np.zeros((2, 3)), np.ones((2, 1)))
     with pytest.raises(ValueError, match=">= 0"):
-        RoundPrediction(1.0, -0.01)
-    with pytest.raises(ValueError, match="finite"):
-        RoundPrediction(float("nan"), 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        RoundPrediction(0.0, float("inf"))
+        rubin_pool(np.zeros((2, 3)), np.array([1.0, -0.01]))
 
 
 def test_pooled_prediction_is_immutable():
-    pooled = rubin_pool([RoundPrediction(1.0, 1.0)])
+    pooled = rubin_pool(np.ones((1, 1)), np.ones(1))
     assert isinstance(pooled, PooledPrediction)
     with pytest.raises(AttributeError):
         pooled.mean = 0.0
@@ -96,25 +98,20 @@ def test_array_pooling_equals_per_hour_pooling_bitwise(b, n, seed):
     means = rng.normal(scale=4.0, size=(b, n)) * rng.choice([1e-8, 1.0, 1e6], size=(b, n))
     means[:, : n // 3] = means[0, : n // 3]  # hours whose rounds agree
     variances = rng.uniform(0.0, 3.0, size=b)
-    pooled = rubin_pool([RoundPrediction(means[r], float(variances[r])) for r in range(b)])
+    pooled = rubin_pool(means, variances)
     assert pooled.mean.shape == pooled.within_var.shape == pooled.total_var.shape == (n,)
-    hours = [
-        rubin_pool([RoundPrediction(float(means[r, i]), float(variances[r])) for r in range(b)])
-        for i in range(n)
-    ]
+    hours = [_column(means[:, i], variances) for i in range(n)]
     assert pooled.hours() == hours  # every moment, bit for bit
     order = rng.permutation(b)
-    again = rubin_pool([RoundPrediction(means[r], float(variances[r])) for r in order])
-    assert again.hours() == hours
+    assert rubin_pool(means[order], variances[order]).hours() == hours
 
 
 def test_array_round_means_must_be_finite():
-    with pytest.raises(ValueError, match="finite"):
-        RoundPrediction(np.array([1.0, float("nan")]), 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        RoundPrediction(np.array([float("inf")]), 1.0)
-    with pytest.raises(ValueError, match=">= 0"):
-        RoundPrediction(np.zeros(3), -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rubin_pool(np.array([[1.0, bad], [2.0, 3.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            rubin_pool(np.zeros((2, 3)), np.array([1.0, bad]))
 
 
 def test_an_hour_pooled_alone_equals_it_inside_a_cell_at_nine_rounds():
@@ -123,18 +120,18 @@ def test_an_hour_pooled_alone_equals_it_inside_a_cell_at_nine_rounds():
     means = np.array([[1e16, 3.0, 0.1], [1.0, 1e-3, 0.7], [1.0, -2.5, 0.3],
                       [1.0, 7.0, 0.9], [1.0, 1e3, 0.2], [1.0, 0.5, 0.8],
                       [1.0, -1e2, 0.4], [1.0, 2.0, 0.6], [-1e16, 1e-9, 0.5]])
-    variances = [0.1 * (r + 1) for r in range(9)]
-    cell = rubin_pool([RoundPrediction(means[r], variances[r]) for r in range(9)]).hours()
+    variances = np.array([0.1 * (r + 1) for r in range(9)])
+    cell = rubin_pool(means, variances).hours()
     for i in range(3):
-        alone = rubin_pool([RoundPrediction(float(means[r, i]), variances[r])
-                            for r in range(9)])
-        assert isinstance(alone.mean, float) and isinstance(alone.total_var, float)
-        assert _bits(alone) == _bits(cell[i])
+        alone = rubin_pool(means[:, i:i + 1], variances)
+        assert alone.mean.shape == alone.total_var.shape == (1,)
+        assert _bits(alone.hours()[0]) == _bits(cell[i])
 
 
 def test_round_means_with_more_than_one_dimension_are_rejected():
-    with pytest.raises(ValueError, match="1-D"):
-        RoundPrediction(np.zeros((2, 3)), 1.0)
+    # each round is one row of hours: a stack of 2-D rounds is not a stack
+    with pytest.raises(ValueError, match="stack"):
+        rubin_pool(np.zeros((2, 3, 4)), np.ones(2))
 
 
 # --------------------------------------------- the exactly rounded oracle
@@ -167,7 +164,7 @@ def test_array_pooling_stays_within_stated_ulps_of_the_fsum_oracle(b, n, seed):
     means[:, :near] = scale[:near] + rng.integers(-4, 5, size=(b, near)) * np.spacing(scale[:near])
     means[:, near:2 * near] = means[0, near:2 * near]  # hours whose rounds agree
     variances = rng.uniform(0.0, 3.0, size=b).tolist()
-    pooled = rubin_pool([RoundPrediction(means[r], variances[r]) for r in range(b)])
+    pooled = rubin_pool(means, np.array(variances))
     u = 2.0 ** -53
     for i, hour in enumerate(pooled.hours()):
         column = means[:, i].tolist()
