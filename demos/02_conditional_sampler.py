@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from pvmi import SynthSpec, generate
-from pvmi.imputation import fit_sampler, neighbors, sample_power
+from pvmi.imputation import fit_sampler, neighbors
 from pvmi.intervals import normal_cdf
 from pvmi.series import HourlySeries
 
@@ -41,7 +41,7 @@ def main():
     queries = [0.15, 0.3, 0.6]
     for irr, idx in zip(queries, neighbors(sampler, queries)):
         support = sampler.power[idx]
-        draws = [sample_power(sampler, irr, rng) for _ in range(5)]
+        draws = support[rng.integers(0, sampler.k, size=5)]
         print(f"\nirradiance {irr:.2f}:")
         print(f"  neighbour powers  {np.round(np.sort(support), 3)[:6]} ...")
         print(f"  deterministic fill {support.mean():.3f}")
@@ -59,7 +59,8 @@ def main():
                            series.irradiance[:n].copy())
         s = fit_sampler(sub, k=math.ceil(math.sqrt(n)))
         local = np.random.default_rng(1234 + n)
-        draws = [sample_power(s, query, local) for _ in range(1000)]
+        support = s.power[neighbors(s, [query])[0]]
+        draws = support[local.integers(0, s.k, size=1000)]
         print(f"  n={n:5d} k={s.k:3d}  KS distance {ks_distance(draws, true_cdf):.4f}")
 
 

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import from_json, load_config, reaggregate, run
+from .errors import check_int
+from .experiment import _check_keys, from_json, load_config, reaggregate, run
 from .imputation import complete_series, fit_sampler
 from .missingness import MissingSpec, inject_missing
 from .series import parse_csv, write_csv
@@ -105,13 +106,14 @@ def _cmd_inject(args) -> int:
 
 def _cmd_impute(args) -> int:
     doc = json.loads(args.config.read_text()) if args.config else {}
-    unknown = sorted(set(doc) - {"mode", "k", "seed"})
-    if unknown:
-        raise ValueError(f"unknown impute config key(s) {unknown}")
+    _check_keys("impute config", doc, known={"mode", "k", "seed"})
     mode = doc.get("mode", "single")
     if mode not in ("single", "stochastic"):
         raise ValueError(f"mode must be 'single' or 'stochastic', got {mode!r}")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    check_int("seed", seed, 0)
+    if doc.get("k") is not None:
+        check_int("k", doc["k"], 1)
     series = parse_csv(args.data)
     sampler = fit_sampler(series, k=doc.get("k"))
     rng = np.random.default_rng(seed) if mode == "stochastic" else None

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types, and the integer check of config fields, shared across
+the package.
 
 Everything derives from :class:`ValueError` so that callers who do not care
 about the fine-grained category can catch one base class.
@@ -43,3 +44,13 @@ class CollinearDesignError(ValueError):
 
 class ExperimentError(RuntimeError):
     """One or more experiment cells failed; partial results were written."""
+
+
+def check_int(name: str, value, low: int | None = None) -> None:
+    """Reject a ``value`` of field ``name`` that is not an integer, or is
+    below ``low`` when one is given; as in JSON, neither a bool nor a float
+    is an integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")

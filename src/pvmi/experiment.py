@@ -52,12 +52,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models
-from .errors import ExperimentError
+from .errors import ExperimentError, check_int
 from .features import WINDOW_HOURS
 from .imputation import fit_sampler
 from .intervals import INTERVAL_FAMILIES
 from .metrics import EvalReport, score, target_truths
-from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
+from .missingness import MissingSpec, inject_missing, missing_fraction
 from .pipeline import SETUPS, Completions, Pipeline
 from .series import HourlySeries, parse_csv, split_chronological
 from .synth import SynthSpec, generate
@@ -81,26 +81,24 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.family not in models.FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
-        if self.tune is not None and not isinstance(self.tune, bool):
-            raise ValueError(f"tune must be true or false, got {self.tune!r}")
-        if self.hyperparameters is not None and self.tune:
-            raise ValueError("tune: a model with hyperparameters is not tuned; "
-                             "give a grid instead")
-        if self.hyperparameters is None and self.tune is False:
-            raise ValueError("tune: a model without hyperparameters is tuned; "
-                             "give hyperparameters instead")
-        if self.hyperparameters is not None and self.grid is not None:
+        tuned = self.hyperparameters is None
+        if self.tune is not None and self.tune is not tuned:
+            raise ValueError(f"tune must be {str(tuned).lower()} when hyperparameters "
+                             f"are {'absent' if tuned else 'given'}, got {self.tune!r}")
+        if not tuned and self.grid is not None:
             raise ValueError("grid: a model with hyperparameters is not tuned")
-        _check_int("folds", self.folds, 1)
-        _check_int("seed", self.seed, 0)
-        object.__setattr__(self, "tune", self.hyperparameters is None)
-        if self.tune and self.grid is None and self.family == "mlp":
+        check_int("folds", self.folds, 1)
+        check_int("seed", self.seed, 0)
+        object.__setattr__(self, "tune", tuned)
+        if tuned and self.grid is None and self.family == "mlp":
             raise ValueError("the mlp has no default grid: give it hyperparameters "
                              "or a grid to tune over")
         if self.grid is not None:
+            if not self.grid:
+                raise ValueError("grid must contain at least one candidate")
             object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
         for hp in (self.hyperparameters or {}, *(self.grid or ())):
-            models.RegressorSpec(self.family, hp)  # rejects unknown keys
+            models.RegressorSpec(self.family, hp)  # rejects unknown keys and mistyped values
 
 
 @dataclass(frozen=True)
@@ -130,25 +128,21 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
             for value in getattr(self, name):
-                _check_int(name, value, 1)
+                check_int(name, value, 1)
         if any(s not in SETUPS for s in self.setups):
             raise ValueError(f"setups must be a subset of {SETUPS}, got {self.setups}")
         if not self.interval_families or any(
             f not in INTERVAL_FAMILIES for f in self.interval_families
         ):
             raise ValueError(f"interval_families must be drawn from {tuple(INTERVAL_FAMILIES)}")
+        if len(set(self.interval_families)) < len(self.interval_families):
+            raise ValueError("interval_families must not repeat a family, "
+                             f"got {list(self.interval_families)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.sampler_k is not None:
-            _check_int("sampler_k", self.sampler_k, 1)
-        _check_int("master_seed", self.master_seed, 0)
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """Reject a ``value`` of field ``name`` that is not an integer >= ``low``;
-    as in JSON, neither a bool nor a float is an integer."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int("sampler_k", self.sampler_k, 1)
+        check_int("master_seed", self.master_seed, 0)
 
 
 # JSON keys that differ from the ExperimentConfig fields they fill
@@ -269,18 +263,17 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
 
     full = _load_data(config)
     train, test = split_chronological(full, config.test_len)
-    test_truth: GroundTruth | None = None
+    truth_restored = test  # the test series before any injected gap
     if config.train_missing is not None:
         train, _ = inject_missing(train, config.train_missing)
     if config.test_missing is not None:
-        test, test_truth = inject_missing(test, config.test_missing)
+        test, _ = inject_missing(test, config.test_missing)
 
     sampler = fit_sampler(train, k=config.sampler_k)
     completions = Completions(train, test, sampler)
     resolved_specs = _resolve_models(config, completions)
     pipelines = [Pipeline(completions, spec) for spec in resolved_specs]
 
-    truth_restored = test_truth.restore(test) if test_truth is not None else test
     hour_fields = _hour_fields(test, truth_restored)
 
     labels = model_labels(config)

@@ -9,7 +9,9 @@ and the target is the next hour's power ``y_t = P_{t+1}``. With 0-based
 hour indices the valid positions are ``t = 23 .. T-2``, giving ``N = T - 24``
 rows in time order: row ``i`` belongs to hour ``23 + i`` and predicts the
 power at hour ``24 + i``. The layout requires a fully observed series, so any
-missing hours must be imputed first.
+missing hours must be imputed first, and a dataset is finite: its
+constructor rejects NaN and infinite entries, so the models never scan for
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteDataError, InsufficientDataError
+from .errors import DataError, IncompleteDataError, InsufficientDataError
 from .series import HourlySeries
 
 WINDOW_HOURS = 24
@@ -29,7 +31,8 @@ N_FEATURES = 2 * WINDOW_HOURS
 class SupervisedDataset:
     """Aligned (inputs, targets) arrays, one row per window in time order.
 
-    ``inputs`` has shape (N, 48) and ``targets`` shape (N,).
+    ``inputs`` has shape (N, 48) and ``targets`` shape (N,); every entry
+    is finite.
     """
 
     inputs: np.ndarray
@@ -40,6 +43,8 @@ class SupervisedDataset:
             raise ValueError(f"inputs must have shape (N, {N_FEATURES})")
         if self.targets.shape != (self.inputs.shape[0],):
             raise ValueError("targets must align with inputs")
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
+            raise DataError("supervised data contains NaN or infinite values")
         for arr in (self.inputs, self.targets):
             arr.setflags(write=False)
 

@@ -10,7 +10,9 @@ averaging it gives the usual single (point) imputation.
 A completion takes two steps: :func:`gap_neighbors` finds the k neighbours
 of every missing hour, and :func:`fill_gaps` writes their mean, or one draw
 among them when given a generator. Repeated completions of one series reuse
-the first step; :func:`complete_series` does both.
+the first step; :func:`complete_series` does both. :func:`fill_gaps` is the
+one draw from the estimate: m draws at one irradiance are the m values
+``power[nbrs[rng.integers(0, k, size=m)]]`` of its neighbour row ``nbrs``.
 
 The neighbourhood size k can be fixed or chosen automatically by
 leave-one-out mean squared error of the neighbourhood mean over a small
@@ -121,12 +123,6 @@ def neighbors(sampler: ConditionalSampler, queries) -> np.ndarray:
         raise ValueError("queries must be a 1-D array of irradiances")
     _require_finite(queries, "query irradiance")
     return _run_starts(sampler.irradiance, queries, sampler.k)[:, None] + np.arange(sampler.k)
-
-
-def sample_power(sampler: ConditionalSampler, irradiance: float, rng: np.random.Generator) -> float:
-    """One draw from the estimated conditional distribution: each of the k
-    neighbours' powers has probability 1/k."""
-    return float(sampler.power[neighbors(sampler, [irradiance])[0, rng.integers(0, sampler.k)]])
 
 
 def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_int
 from .series import HourlySeries
 
 MODE_EXPLICIT = "explicit-blocks"
@@ -32,7 +33,8 @@ class MissingSpec:
         random blocks of ``block_len_hours`` until ``target_fraction`` of all
         hours is missing.
     blocks
-        List of ``(start_index, length)`` pairs, explicit mode only.
+        List of ``(start_index, length)`` integer pairs, explicit mode only;
+        :func:`inject_missing` checks their bounds.
     target_fraction
         Desired missing fraction in ``[0, 1)``.
     block_len_hours
@@ -50,14 +52,14 @@ class MissingSpec:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_EXPLICIT, MODE_FRACTION):
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(
-            self, "blocks", tuple((int(s), int(l)) for s, l in self.blocks)
-        )
-        if self.mode == MODE_FRACTION:
-            if not 0.0 <= self.target_fraction < 1.0:
-                raise ValueError("target_fraction must lie in [0, 1)")
-            if self.block_len_hours <= 0:
-                raise ValueError("block_len_hours must be positive")
+        object.__setattr__(self, "blocks", tuple((s, l) for s, l in self.blocks))
+        for i, (start, length) in enumerate(self.blocks):
+            check_int(f"blocks[{i}] start", start)
+            check_int(f"blocks[{i}] length", length)
+        check_int("block_len_hours", self.block_len_hours, 1)
+        check_int("seed", self.seed, 0)
+        if self.mode == MODE_FRACTION and not 0.0 <= self.target_fraction < 1.0:
+            raise ValueError("target_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ input and standardizing it internally:
 each fitted model's ``predict`` forecasts a batch of input rows;
 ``tune_chronological`` picks hyperparameters on expanding-window splits.
 A family's hyperparameters are the keyword arguments of its ``fit``
-classmethod, whose signature also holds their defaults.
+classmethod, whose signature also holds their defaults; a default's type is
+the type its value must have. ``fit`` does not scan its input: a
+:class:`~pvmi.features.SupervisedDataset` is finite by construction.
 
 ``residual_variance`` is the in-sample estimate. The pipeline takes it as the
 round variance for lasso and MLP, but not for kNN, whose in-sample residuals
@@ -28,11 +30,11 @@ count each row as its own neighbour.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError
 from ..features import SupervisedDataset
 from .knn import KNNRegressor
 from .lasso import LassoRegressor, lambda_max
@@ -73,7 +75,8 @@ class RegressorSpec:
     """A model family plus everything needed to refit it deterministically.
 
     ``hyperparameters`` may only name keyword arguments of the family's
-    ``fit``; anything else raises ``ValueError``.
+    ``fit``, each with a value of its default's type; anything else raises
+    ``ValueError``.
     """
 
     family: str
@@ -92,6 +95,8 @@ class RegressorSpec:
                 f"unknown {self.family} hyperparameter(s) {unknown}, "
                 f"expected some of {sorted(known)}"
             )
+        for name, value in self.hyperparameters.items():
+            _check_hyperparameter(name, value, params[name].default)
 
 
 def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
@@ -100,7 +105,6 @@ def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
     Training is deterministic: the same spec, data and seed always produce a
     model with identical predictions.
     """
-    _check_finite(data)
     seed = {"seed": spec.seed} if spec.family == "mlp" else {}
     return _REGRESSORS[spec.family].fit(data.inputs, data.targets,
                                         **spec.hyperparameters, **seed)
@@ -109,11 +113,26 @@ def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
 def residual_variance(model: TrainedModel, data: SupervisedDataset) -> float:
     """Mean squared training residual: the ML estimate of the noise variance
     when predictions are treated as the conditional mean."""
-    _check_finite(data)
     pred = model.predict(data.inputs)
     return float(np.mean((pred - data.targets) ** 2))
 
 
-def _check_finite(data: SupervisedDataset) -> None:
-    if not np.all(np.isfinite(data.inputs)) or not np.all(np.isfinite(data.targets)):
-        raise DataError("supervised data contains NaN or infinite values")
+def _check_hyperparameter(name: str, value, default) -> None:
+    """Reject a ``value`` of hyperparameter ``name`` whose type is not that of
+    its ``fit`` default: an int default takes an integer (numpy's too), a
+    tuple default as many integers as it holds, a float default a number. A
+    bool is never a value."""
+    def is_int(v):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        ok = (isinstance(value, (list, tuple)) and len(value) == len(default)
+              and all(map(is_int, value)))
+        kind = f"a list of {len(default)} integers"
+    elif isinstance(default, int):
+        ok, kind = is_int(value), "an integer"
+    else:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        kind = "a number"
+    if not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")

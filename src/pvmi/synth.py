@@ -21,6 +21,7 @@ from datetime import datetime
 
 import numpy as np
 
+from .errors import check_int
 from .series import HourlySeries
 
 DAWN_HOUR = 6
@@ -41,7 +42,8 @@ class SynthSpec:
     noise_scale
         Relative standard deviation of the multiplicative power noise.
     seed
-        RNG seed; the same spec always generates the same series.
+        RNG seed, a non-negative integer; the same spec always generates the
+        same series.
     """
 
     days: int = 365
@@ -51,8 +53,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.days < 3:
-            raise ValueError("days must be at least 3")
+        check_int("days", self.days, 3)
+        check_int("seed", self.seed, 0)
         if self.peak_irradiance <= 0 or self.efficiency <= 0:
             raise ValueError("peak_irradiance and efficiency must be positive")
         if self.noise_scale < 0:

@@ -30,7 +30,7 @@ from pvmi import (
 )
 from pvmi.cli import main as cli_main
 from pvmi.features import build_training
-from pvmi.imputation import fit_sampler, sample_power
+from pvmi.imputation import fit_sampler, neighbors
 from pvmi.intervals import gamma_quantile, inverse_normal_cdf, regularized_gamma_p
 from pvmi.models import LassoRegressor, default_knn_grid, tune_chronological
 from pvmi.models.mlp import init_params, loss_and_grads
@@ -256,7 +256,8 @@ def test_criterion_7_sampler_ks_shrinks_with_data():
                            full.irradiance[:n].copy())
         sampler = fit_sampler(sub, k=math.ceil(math.sqrt(n)))
         rng = np.random.default_rng(1234 + n)
-        draws = np.sort([sample_power(sampler, query, rng) for _ in range(1000)])
+        support = sampler.power[neighbors(sampler, [query])[0]]
+        draws = np.sort(support[rng.integers(0, sampler.k, size=1000)])
         stat = 0.0
         for i, x in enumerate(draws, start=1):
             f = true_cdf(float(x))

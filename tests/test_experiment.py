@@ -204,6 +204,7 @@ def test_config_from_json_rejects_unknown_data_keys():
 
 
 GAPS = {"mode": "target-fraction", "target_fraction": 0.2, "seed": 1}
+EXPLICIT = {"mode": "explicit-blocks", "blocks": [[30, 2]]}
 
 
 @pytest.mark.parametrize("where, patch, bad", [
@@ -241,10 +242,24 @@ def test_config_from_json_names_a_missing_key(key):
     ("sampler_k", {"sampler_k": 2.5}),
     ("folds", {"models": [{"family": "knn", "tune": True, "folds": 2.5}]}),
     ("seed", {"models": [{"family": "mlp", "hyperparameters": {}, "seed": -1}]}),
+    ("days", {"data": {"synth": {"days": 8.5, "seed": 3}}}),
+    ("seed", {"data": {"synth": {"days": 8, "seed": 1.5}}}),
+    ("block_len_hours", {"train_missing": {**GAPS, "block_len_hours": 2.5}}),
+    ("block_len_hours", {"train_missing": {**GAPS, "block_len_hours": True}}),
+    ("seed", {"test_missing": {**GAPS, "seed": 1.5}}),
+    (r"blocks\[0\] start", {"test_missing": {**EXPLICIT, "blocks": [[1.5, 2]]}}),
+    (r"blocks\[0\] start", {"test_missing": {**EXPLICIT, "blocks": [[True, 2]]}}),
+    (r"blocks\[1\] length", {"test_missing": {**EXPLICIT, "blocks": [[30, 2], [40, 2.0]]}}),
+    ("k", {"models": [{"family": "knn", "hyperparameters": {"k": 2.5}}]}),
+    ("hidden", {"models": [{"family": "mlp", "hyperparameters": {"hidden": [4.9, 3]}}]}),
+    ("grid", {"models": [{"family": "knn", "grid": []}]}),
+    ("interval_families", {"interval_families": ["normal", "normal"]}),
 ])
 def test_config_from_json_rejects_a_malformed_axis_or_seed(field, patch):
     # each would otherwise fail late (after the sampler fit and tuning, with
-    # no summary.json), run with a truncated value, or echo ``true``
+    # no summary.json), run with a truncated value (k 2.5 as 2), remove the
+    # wrong hours (blocks [[1.5, 2]] removed hours 1-2), fail with a bare
+    # numpy TypeError, write one cell twice, or echo ``true``
     with pytest.raises(ValueError, match=f"^{field} must"):
         config_from_json({**MINIMAL_DOC, **patch})
 
@@ -707,6 +722,30 @@ def test_cli_impute_rejects_an_unknown_mode(tmp_path):
     with pytest.raises(ValueError, match="^mode must be 'single' or 'stochastic', got 'bogus'$"):
         main(["impute", str(data), "--config", str(cfg), "--out", str(tmp_path / "c.csv")])
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("synth", {"days": 8.5}, "days"),
+    ("synth", {"days": 8, "seed": 1.5}, "seed"),
+    ("inject", {"mode": "explicit-blocks", "blocks": [[1.5, 2]]}, "blocks[0] start"),
+    ("inject", {**GAPS, "block_len_hours": True}, "block_len_hours"),
+    ("impute", {"mode": "single", "k": 2.5}, "k"),
+    ("impute", {"mode": "single", "k": True}, "k"),
+    ("impute", {"mode": "stochastic", "seed": 1.5}, "seed"),
+])
+def test_cli_rejects_a_config_value_that_is_not_an_integer(tmp_path, command, doc, field):
+    # impute k 2.5 ran as k = 2 and k true as k = 1; the others raised a
+    # bare numpy TypeError
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out.csv"
+    args = ["--config", str(cfg), "--out", str(out)]
+    if command != "synth":
+        data = tmp_path / "data.csv"
+        write_csv(generate(SynthSpec(days=3, seed=4)), data)
+        args.insert(0, str(data))
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be an integer"):
+        main([command, *args])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, doc, bad", [

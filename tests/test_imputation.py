@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvmi import ConditionalSampler, DomainError, InsufficientDataError, complete_series, fit_sampler
-from pvmi.imputation import DEFAULT_K_GRID, neighbors, sample_power, select_k
+from pvmi.imputation import DEFAULT_K_GRID, neighbors, select_k
 from tests.conftest import make_series
 
 
@@ -85,10 +85,12 @@ def test_neighbors_sorted_ascending():
     assert np.all(np.diff(idx) > 0)
 
 
-def test_sample_power_uniform_over_neighbors(rng):
-    s = make_series([1.0, 2.0, 3.0, 50.0], [0.10, 0.11, 0.12, 0.9])
+def test_stochastic_fill_uniform_over_neighbors(rng):
+    # 3000 missing hours at irradiance 0.11, each filled by one draw
+    s = make_series([1.0, 2.0, 3.0, 50.0] + [np.nan] * 3000,
+                    [0.10, 0.11, 0.12, 0.9] + [0.11] * 3000)
     sampler = fit_sampler(s, k=3)
-    draws = np.array([sample_power(sampler, 0.11, rng) for _ in range(3000)])
+    draws = complete_series(s, sampler, rng).power[4:]
     assert set(np.unique(draws)) == {1.0, 2.0, 3.0}
     freqs = [np.mean(draws == v) for v in (1.0, 2.0, 3.0)]
     assert all(abs(f - 1 / 3) < 0.03 for f in freqs)

@@ -92,6 +92,34 @@ def test_spec_rejects_unknown_hyperparameters(family, hp, key):
         RegressorSpec(family, hp)
 
 
+@pytest.mark.parametrize("family, hp, key", [
+    ("knn", {"k": 2.5}, "k"),
+    ("knn", {"k": True}, "k"),
+    ("knn", {"k": "3"}, "k"),
+    ("mlp", {"iterations": 5.7}, "iterations"),
+    ("mlp", {"hidden": [4.9, 3]}, "hidden"),
+    ("mlp", {"hidden": [4, 3, 2]}, "hidden"),
+    ("mlp", {"hidden": 4}, "hidden"),
+    ("mlp", {"hidden": [True, 3]}, "hidden"),
+    ("mlp", {"learning_rate": "0.01"}, "learning_rate"),
+    ("lasso", {"lam": False}, "lam"),
+    ("lasso", {"lam": None}, "lam"),
+])
+def test_spec_rejects_a_value_of_the_wrong_type(family, hp, key):
+    # each used to run truncated (k 2.5 as 2, hidden [4.9, 3] as (4, 3)) or
+    # fail late inside the fit
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        RegressorSpec(family, hp)
+
+
+def test_spec_takes_the_types_of_the_fit_defaults():
+    RegressorSpec("knn", {"k": np.int64(3)})
+    RegressorSpec("lasso", {"lam": 0})
+    RegressorSpec("lasso", {"lam": np.float64(0.1)})
+    RegressorSpec("mlp", {"hidden": [4, 3], "learning_rate": 1, "iterations": 5})
+    RegressorSpec("mlp", {"hidden": (np.int32(4), 3)})
+
+
 def test_fit_defaults_come_from_the_family(rng):
     data = make_dataset(rng, 100, target_fn=lambda x: x[:, 0])
     assert fit(RegressorSpec("knn"), data).k == 8
@@ -637,13 +665,15 @@ def test_mlp_rejects_a_learning_rate_that_is_not_positive_and_finite(rng, lr):
 # ------------------------------------------- family-independent entry points
 
 
-def test_fit_rejects_non_finite_data(rng):
+def test_non_finite_data_is_rejected_before_any_fit(rng):
+    # the dataset is checked once, where it is made; no fit scans it again
     data = make_dataset(rng, 30)
-    inputs = data.inputs.copy()
-    inputs[3, 7] = np.nan
-    bad = SupervisedDataset(inputs=inputs, targets=data.targets.copy())
-    with pytest.raises(DataError):
-        fit(RegressorSpec("knn", {"k": 2}), bad)
+    for where, bad in [("inputs", np.nan), ("inputs", -np.inf),
+                       ("targets", np.nan), ("targets", np.inf)]:
+        arrays = {"inputs": data.inputs.copy(), "targets": data.targets.copy()}
+        arrays[where].reshape(-1)[7] = bad
+        with pytest.raises(DataError, match="^supervised data contains NaN or infinite values$"):
+            SupervisedDataset(**arrays)
 
 
 def test_residual_variance_zero_for_exact_interpolator(rng):
