@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check
 from .experiment import _check_keys, from_json, load_config, reaggregate, run
 from .imputation import complete_series, fit_sampler
 from .missingness import MissingSpec, inject_missing
@@ -110,12 +110,12 @@ def _cmd_impute(args) -> int:
     mode = doc.get("mode", "single")
     if mode not in ("single", "stochastic"):
         raise ValueError(f"mode must be 'single' or 'stochastic', got {mode!r}")
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    check_int("seed", seed, 0)
-    if doc.get("k") is not None:
-        check_int("k", doc["k"], 1)
+    seed = check("seed", args.seed if args.seed is not None else doc.get("seed", 0), int, 0)
+    k = doc.get("k")
+    if k is not None:
+        k = check("k", k, int, 1)
     series = parse_csv(args.data)
-    sampler = fit_sampler(series, k=doc.get("k"))
+    sampler = fit_sampler(series, k=k)
     rng = np.random.default_rng(seed) if mode == "stochastic" else None
     completed = complete_series(series, sampler, rng)
     write_csv(completed, args.out)

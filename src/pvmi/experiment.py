@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models
-from .errors import ExperimentError, check_int
+from .errors import ExperimentError, check_fields
 from .features import WINDOW_HOURS
 from .imputation import fit_sampler
 from .intervals import INTERVAL_FAMILIES
@@ -69,7 +69,9 @@ SCHEMA_VERSION = 1
 class ModelConfig:
     """One model family in the grid, either with explicit hyperparameters or
     tuned on the training data before any cell runs. ``tune`` follows from
-    ``hyperparameters``; given, it must agree."""
+    ``hyperparameters``; given, it must agree. The hyperparameters and each
+    ``grid`` entry are stored as :class:`~pvmi.models.RegressorSpec` stores
+    them, numpy scalars as Python numbers."""
 
     family: str
     hyperparameters: dict | None = None
@@ -79,6 +81,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, folds=1, seed=0)
         if self.family not in models.FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
         tuned = self.hyperparameters is None
@@ -87,18 +90,20 @@ class ModelConfig:
                              f"are {'absent' if tuned else 'given'}, got {self.tune!r}")
         if not tuned and self.grid is not None:
             raise ValueError("grid: a model with hyperparameters is not tuned")
-        check_int("folds", self.folds, 1)
-        check_int("seed", self.seed, 0)
         object.__setattr__(self, "tune", tuned)
         if tuned and self.grid is None and self.family == "mlp":
             raise ValueError("the mlp has no default grid: give it hyperparameters "
                              "or a grid to tune over")
+        if self.grid is not None and not self.grid:
+            raise ValueError("grid must contain at least one candidate")
+
+        def checked(hp: dict) -> dict:  # rejects unknown keys and mistyped values
+            return models.RegressorSpec(self.family, hp).hyperparameters
+
+        if not tuned:
+            object.__setattr__(self, "hyperparameters", checked(self.hyperparameters))
         if self.grid is not None:
-            if not self.grid:
-                raise ValueError("grid must contain at least one candidate")
-            object.__setattr__(self, "grid", tuple(dict(g) for g in self.grid))
-        for hp in (self.hyperparameters or {}, *(self.grid or ())):
-            models.RegressorSpec(self.family, hp)  # rejects unknown keys and mistyped values
+            object.__setattr__(self, "grid", tuple(map(checked, self.grid)))
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,10 @@ class ExperimentConfig:
             raise ValueError("config must name exactly one data source (csv or synth)")
         if not self.model_configs:
             raise ValueError("config must list at least one model")
+        check_fields(self, setups=1, n_rounds=1, sampler_k=1, master_seed=0)
         for name in ("setups", "n_rounds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-            for value in getattr(self, name):
-                check_int(name, value, 1)
         if any(s not in SETUPS for s in self.setups):
             raise ValueError(f"setups must be a subset of {SETUPS}, got {self.setups}")
         if not self.interval_families or any(
@@ -140,9 +144,6 @@ class ExperimentConfig:
                              f"got {list(self.interval_families)}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.sampler_k is not None:
-            check_int("sampler_k", self.sampler_k, 1)
-        check_int("master_seed", self.master_seed, 0)
 
 
 # JSON keys that differ from the ExperimentConfig fields they fill
@@ -259,10 +260,9 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     grid finishes if any cell failed (its marker is in the summary).
     """
     out = Path(output_dir) if output_dir is not None else Path(config.output_dir)
-    (out / "cells").mkdir(parents=True, exist_ok=True)
-
     full = _load_data(config)
     train, test = split_chronological(full, config.test_len)
+    (out / "cells").mkdir(parents=True, exist_ok=True)
     truth_restored = test  # the test series before any injected gap
     if config.train_missing is not None:
         train, _ = inject_missing(train, config.train_missing)
@@ -343,8 +343,10 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
         "cells": manifest_cells,
         "config": _config_echo(config),
     }
-    _write_json_atomic(out / "summary.json", summary)
-    _write_json_atomic(out / "manifest.json", manifest)
+    texts = {name: json.dumps(doc, indent=2, sort_keys=True) + "\n"
+             for name, doc in (("summary.json", summary), ("manifest.json", manifest))}
+    for name, text in texts.items():  # both serialised before either is written
+        _write_text_atomic(out / name, text)
     if failures:
         raise ExperimentError(
             f"{len(failures)} cell(s) failed: {', '.join(failures)}; "
@@ -539,10 +541,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
 def _round(x: float) -> float:
     """Stabilize reported metrics against sub-ulp platform jitter."""
     return float(f"{x:.12g}")
-
-
-def _write_json_atomic(path: Path, doc: dict) -> None:
-    _write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_text_atomic(path: Path, text: str) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check, check_fields
 from .series import HourlySeries
 
 MODE_EXPLICIT = "explicit-blocks"
@@ -50,14 +50,12 @@ class MissingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, block_len_hours=1, seed=0)
         if self.mode not in (MODE_EXPLICIT, MODE_FRACTION):
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "blocks", tuple((s, l) for s, l in self.blocks))
-        for i, (start, length) in enumerate(self.blocks):
-            check_int(f"blocks[{i}] start", start)
-            check_int(f"blocks[{i}] length", length)
-        check_int("block_len_hours", self.block_len_hours, 1)
-        check_int("seed", self.seed, 0)
+        object.__setattr__(self, "blocks", tuple(
+            (check(f"blocks[{i}] start", s, int), check(f"blocks[{i}] length", l, int))
+            for i, (s, l) in enumerate(self.blocks)))
         if self.mode == MODE_FRACTION and not 0.0 <= self.target_fraction < 1.0:
             raise ValueError("target_fraction must lie in [0, 1)")
 

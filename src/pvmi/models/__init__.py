@@ -30,11 +30,11 @@ count each row as its own neighbour.
 from __future__ import annotations
 
 import inspect
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import check, check_fields
 from ..features import SupervisedDataset
 from .knn import KNNRegressor
 from .lasso import LassoRegressor, lambda_max
@@ -75,8 +75,8 @@ class RegressorSpec:
     """A model family plus everything needed to refit it deterministically.
 
     ``hyperparameters`` may only name keyword arguments of the family's
-    ``fit``, each with a value of its default's type; anything else raises
-    ``ValueError``.
+    ``fit``, each with a value of its default's type (a tuple default takes
+    a list of as many integers); anything else raises ``ValueError``.
     """
 
     family: str
@@ -84,19 +84,23 @@ class RegressorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, seed=0)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
+        hp = dict(self.hyperparameters)
         params = inspect.signature(_REGRESSORS[self.family].fit).parameters
         known = set(params) - {"inputs", "targets", "seed"}
-        unknown = sorted(set(self.hyperparameters) - known)
+        unknown = sorted(set(hp) - known)
         if unknown:
             raise ValueError(
                 f"unknown {self.family} hyperparameter(s) {unknown}, "
                 f"expected some of {sorted(known)}"
             )
-        for name, value in self.hyperparameters.items():
-            _check_hyperparameter(name, value, params[name].default)
+        for name, value in hp.items():
+            default = params[name].default
+            hp[name] = check(name, value, tuple(map(type, default))
+                             if isinstance(default, tuple) else type(default))
+        object.__setattr__(self, "hyperparameters", hp)
 
 
 def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:
@@ -116,23 +120,3 @@ def residual_variance(model: TrainedModel, data: SupervisedDataset) -> float:
     pred = model.predict(data.inputs)
     return float(np.mean((pred - data.targets) ** 2))
 
-
-def _check_hyperparameter(name: str, value, default) -> None:
-    """Reject a ``value`` of hyperparameter ``name`` whose type is not that of
-    its ``fit`` default: an int default takes an integer (numpy's too), a
-    tuple default as many integers as it holds, a float default a number. A
-    bool is never a value."""
-    def is_int(v):
-        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-    if isinstance(default, tuple):
-        ok = (isinstance(value, (list, tuple)) and len(value) == len(default)
-              and all(map(is_int, value)))
-        kind = f"a list of {len(default)} integers"
-    elif isinstance(default, int):
-        ok, kind = is_int(value), "an integer"
-    else:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        kind = "a number"
-    if not ok:
-        raise ValueError(f"{name} must be {kind}, got {value!r}")

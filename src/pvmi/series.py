@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, GapError
+from .errors import DomainError, GapError, check
 
 _HEADER = ("timestamp", "power", "irradiance")
 _HOUR = timedelta(hours=1)
@@ -157,11 +157,10 @@ def split_chronological(series: HourlySeries, test_len: int) -> tuple[HourlySeri
     window.
     """
     t = len(series)
-    if not isinstance(test_len, (int, np.integer)):
-        raise ValueError("test_len must be an integer")
+    test_len = check("test_len", test_len, int)
     if not 24 < test_len < t:
         raise ValueError(f"test_len must satisfy 24 < test_len < {t}, got {test_len}")
-    cut = t - int(test_len)
+    cut = t - test_len
     head = HourlySeries(
         start=series.start,
         power=series.power[:cut],

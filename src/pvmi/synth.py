@@ -21,7 +21,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_fields
 from .series import HourlySeries
 
 DAWN_HOUR = 6
@@ -53,12 +53,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int("days", self.days, 3)
-        check_int("seed", self.seed, 0)
+        check_fields(self, days=3, noise_scale=0, seed=0)
         if self.peak_irradiance <= 0 or self.efficiency <= 0:
             raise ValueError("peak_irradiance and efficiency must be positive")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be non-negative")
 
 
 def clear_sky_profile(spec: SynthSpec) -> np.ndarray:

@@ -25,6 +25,7 @@ from pvmi import (
     split_chronological,
     write_csv,
 )
+from pvmi import experiment
 from pvmi.cli import main
 from pvmi.experiment import (
     _CSV_HEADER,
@@ -505,6 +506,48 @@ def test_failing_cells_are_isolated(tmp_path):
     assert len(reaggregate(tmp_path)["cells"]) == len(manifest["cells"])
 
 
+@pytest.mark.parametrize("numpy_fields, python_fields", [
+    pytest.param({"model_configs": (ModelConfig("knn", {"k": np.int64(2)}),)},
+                 {"model_configs": (KNN2,)}, id="k"),
+    pytest.param({"model_configs": (ModelConfig("knn", grid=[{"k": np.int64(1)},
+                                                             {"k": np.int64(2)}]),)},
+                 {"model_configs": (ModelConfig("knn", grid=[{"k": 1}, {"k": 2}]),)},
+                 id="grid"),
+    pytest.param({"test_len": np.int64(72)}, {"test_len": 72}, id="test_len"),
+    pytest.param({"n_rounds": (np.int64(2),)}, {"n_rounds": (2,)}, id="n_rounds"),
+    pytest.param({"alpha": np.float32(0.05)}, {"alpha": float(np.float32(0.05))},
+                 id="alpha"),
+])
+def test_numpy_scalars_write_the_artifacts_of_the_python_numbers(
+        tmp_path, numpy_fields, python_fields):
+    # n_rounds was rejected; the others wrote cells/ (and all but alpha
+    # summary.json), then json could not encode the numpy scalar
+    def artifacts(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    run(small_config(**python_fields), tmp_path / "py")
+    run(small_config(**numpy_fields), tmp_path / "np")
+    python_artifacts = artifacts(tmp_path / "py")
+    assert len(python_artifacts) == 2 + 4  # summary, manifest and four cell CSVs
+    assert artifacts(tmp_path / "np") == python_artifacts
+
+
+def test_a_run_whose_split_fails_leaves_no_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="test_len must satisfy 24 < test_len < 192"):
+        run(small_config(test_len=500), out)
+    assert not out.exists()
+
+
+def test_summary_and_manifest_are_both_serialised_before_either_is_written(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "_config_echo", lambda config: {"unencodable": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        run(small_config(), tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_a_failing_pipeline_is_pooled_once(tmp_path, monkeypatch):
     # three pipelines (s1, s2_b2, s3_b2), each cut into a normal and a gamma
     # cell; k above the training rows makes every pooling raise
@@ -732,18 +775,28 @@ def test_cli_impute_rejects_an_unknown_mode(tmp_path):
     ("impute", {"mode": "single", "k": 2.5}, "k"),
     ("impute", {"mode": "single", "k": True}, "k"),
     ("impute", {"mode": "stochastic", "seed": 1.5}, "seed"),
+    ("synth", {"days": 10, "noise_scale": True}, "noise_scale"),
+    ("synth", {"days": 10, "peak_irradiance": "1"}, "peak_irradiance"),
+    ("inject", {"mode": "target-fraction", "target_fraction": False}, "target_fraction"),
+    ("run", {**MINIMAL_DOC, "alpha": "0.05"}, "alpha"),
+    ("run", {**MINIMAL_DOC, "test_len": 72.0}, "test_len"),
+    ("run", {**MINIMAL_DOC, "output_dir": 5}, "output_dir"),
 ])
 def test_cli_rejects_a_config_value_that_is_not_an_integer(tmp_path, command, doc, field):
-    # impute k 2.5 ran as k = 2 and k true as k = 1; the others raised a
-    # bare numpy TypeError
+    # impute k 2.5 ran as k = 2 and k true as k = 1, noise_scale true as 1.0
+    # and target_fraction false as 0.0, and output_dir 5 ran; test_len 72.0
+    # failed inside the run, after cells/ was made; the others raised a bare
+    # TypeError
+    kind = {"noise_scale": "a number", "peak_irradiance": "a number", "alpha": "a number",
+            "target_fraction": "a number", "output_dir": "a string"}.get(field, "an integer")
     cfg = write_json(tmp_path / "cfg.json", doc)
     out = tmp_path / "out.csv"
     args = ["--config", str(cfg), "--out", str(out)]
-    if command != "synth":
+    if command in ("inject", "impute"):
         data = tmp_path / "data.csv"
         write_csv(generate(SynthSpec(days=3, seed=4)), data)
         args.insert(0, str(data))
-    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be an integer"):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {kind}"):
         main([command, *args])
     assert not out.exists()
 

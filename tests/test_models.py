@@ -104,20 +104,26 @@ def test_spec_rejects_unknown_hyperparameters(family, hp, key):
     ("mlp", {"learning_rate": "0.01"}, "learning_rate"),
     ("lasso", {"lam": False}, "lam"),
     ("lasso", {"lam": None}, "lam"),
+    ("mlp", {"seed": 1.5}, "seed"),
 ])
 def test_spec_rejects_a_value_of_the_wrong_type(family, hp, key):
     # each used to run truncated (k 2.5 as 2, hidden [4.9, 3] as (4, 3)) or
-    # fail late inside the fit
+    # fail late inside the fit (seed 1.5 with a bare TypeError); a "seed"
+    # entry here is the spec's own field, not a hyperparameter
+    hp = dict(hp)
+    seed = hp.pop("seed", 0)
     with pytest.raises(ValueError, match=f"^{key} must be "):
-        RegressorSpec(family, hp)
+        RegressorSpec(family, hp, seed)
 
 
 def test_spec_takes_the_types_of_the_fit_defaults():
-    RegressorSpec("knn", {"k": np.int64(3)})
-    RegressorSpec("lasso", {"lam": 0})
-    RegressorSpec("lasso", {"lam": np.float64(0.1)})
+    # a numpy scalar is stored as the Python number it holds
+    assert type(RegressorSpec("knn", {"k": np.int64(3)}).hyperparameters["k"]) is int
+    assert type(RegressorSpec("lasso", {"lam": 0}).hyperparameters["lam"]) is int
+    assert type(RegressorSpec("lasso", {"lam": np.float64(0.1)}).hyperparameters["lam"]) is float
     RegressorSpec("mlp", {"hidden": [4, 3], "learning_rate": 1, "iterations": 5})
-    RegressorSpec("mlp", {"hidden": (np.int32(4), 3)})
+    hidden = RegressorSpec("mlp", {"hidden": (np.int32(4), 3)}).hyperparameters["hidden"]
+    assert hidden == (4, 3) and type(hidden[0]) is int
 
 
 def test_fit_defaults_come_from_the_family(rng):
