@@ -56,7 +56,7 @@ def main():
     )
     print(f"\nre-aggregating the per-cell CSVs reproduces the summary: {same}")
     print("inspect demo-exp-out/manifest.json for resolved hyperparameters "
-          "and per-pipeline seeds")
+          "and the cell seeds, one per model and setup")
 
 
 if __name__ == "__main__":

@@ -10,13 +10,17 @@ cell of
 (setup 1 ignores the number of rounds, so its cells collapse along that
 axis), pools each cell's rounds with the one :class:`~pvmi.pipeline.Pipeline`
 of its model (so setup 1 and every setup-2 cell of a model share one fitted
-model), and writes three artifacts into the output directory:
+model), and writes three artifacts into the output directory. There is one
+seed per (model, setup), and a B-round cell pools the first B rounds of
+that setup: the cells of a setup share their rounds, so each round is drawn,
+fitted and predicted once, for the largest B.
 
 ``summary.json``
     one record per cell with coverage, NRMSE, evaluated-hour count and mean
     interval width; byte-identical across reruns of the same config.
 ``manifest.json``
-    resolved hyperparameters, sampler size, derived per-cell seeds and the
+    resolved hyperparameters, sampler size, each cell's seed (derived per
+    model and setup, so every B of a setup carries the same seed) and the
     echoed config, for provenance.
 ``cells/*.csv``
     per-hour detail (truth, mask, pooled moments, interval bounds, covered
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -94,8 +99,13 @@ class ModelConfig:
         if tuned and self.grid is None and self.family == "mlp":
             raise ValueError("the mlp has no default grid: give it hyperparameters "
                              "or a grid to tune over")
-        if self.grid is not None and not self.grid:
-            raise ValueError("grid must contain at least one candidate")
+        if self.grid is not None:
+            if not (isinstance(self.grid, (list, tuple))
+                    and all(isinstance(hp, Mapping) for hp in self.grid)):
+                raise ValueError(
+                    f"grid must be a list of hyperparameter mappings, got {self.grid!r}")
+            if not self.grid:
+                raise ValueError("grid must contain at least one candidate")
 
         def checked(hp: dict) -> dict:  # rejects unknown keys and mistyped values
             return models.RegressorSpec(self.family, hp).hyperparameters
@@ -245,8 +255,8 @@ def enumerate_cells(config: ExperimentConfig) -> list[Cell]:
     return cells
 
 
-def _pipeline_seed(master_seed: int, model_index: int, setup: int, b: int) -> int:
-    seq = np.random.SeedSequence([master_seed, model_index, setup, b])
+def _pipeline_seed(master_seed: int, model_index: int, setup: int) -> int:
+    seq = np.random.SeedSequence([master_seed, model_index, setup])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -358,13 +368,14 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
 def _pool_pipelines(config: ExperimentConfig, cells: list[Cell],
                     pipelines: list[Pipeline]) -> dict[str, tuple]:
     """Each pipeline's seed and its pooling, or the exception its pooling
-    raised, by pipeline id; each pipeline is pooled once, in cell order."""
+    raised, by pipeline id; each pipeline is pooled once, in cell order, so
+    a setup's B-round pipelines grow one round stack in ascending B."""
     pooled: dict[str, tuple] = {}
     for cell in cells:
         if cell.pipeline_id in pooled:
             continue
         b_run = 1 if cell.n_rounds is None else cell.n_rounds
-        seed = _pipeline_seed(config.master_seed, cell.model_index, cell.setup, b_run)
+        seed = _pipeline_seed(config.master_seed, cell.model_index, cell.setup)
         try:
             result = pipelines[cell.model_index].pool(cell.setup, b_run, seed)
         except Exception as exc:  # its cells get the marker

@@ -54,10 +54,17 @@ class MissingSpec:
         if self.mode not in (MODE_EXPLICIT, MODE_FRACTION):
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "blocks", tuple(
-            (check(f"blocks[{i}] start", s, int), check(f"blocks[{i}] length", l, int))
-            for i, (s, l) in enumerate(self.blocks)))
+            _block(f"blocks[{i}]", b) for i, b in enumerate(self.blocks)))
         if self.mode == MODE_FRACTION and not 0.0 <= self.target_fraction < 1.0:
             raise ValueError("target_fraction must lie in [0, 1)")
+
+
+def _block(name: str, block) -> tuple[int, int]:
+    """``block`` as a ``(start, length)`` pair of Python integers."""
+    if not isinstance(block, (list, tuple)) or len(block) != 2:
+        raise ValueError(f"{name} must be a list of 2 integers, got {block!r}")
+    start, length = block
+    return check(f"{name} start", start, int), check(f"{name} length", length, int)
 
 
 @dataclass(frozen=True)

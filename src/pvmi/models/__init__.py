@@ -30,6 +30,7 @@ count each row as its own neighbour.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +75,10 @@ __all__ = [
 class RegressorSpec:
     """A model family plus everything needed to refit it deterministically.
 
-    ``hyperparameters`` may only name keyword arguments of the family's
-    ``fit``, each with a value of its default's type (a tuple default takes
-    a list of as many integers); anything else raises ``ValueError``.
+    ``hyperparameters`` is a mapping that may only name keyword arguments of
+    the family's ``fit``, each with a value of its default's type (a tuple
+    default takes a list of as many integers); anything else raises
+    ``ValueError``.
     """
 
     family: str
@@ -87,6 +89,9 @@ class RegressorSpec:
         check_fields(self, seed=0)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if not isinstance(self.hyperparameters, Mapping):
+            raise ValueError("hyperparameters must be a mapping of names to values, "
+                             f"got {self.hyperparameters!r}")
         hp = dict(self.hyperparameters)
         params = inspect.signature(_REGRESSORS[self.family].fit).parameters
         known = set(params) - {"inputs", "targets", "seed"}

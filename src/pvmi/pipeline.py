@@ -39,10 +39,15 @@ and predicts, in setups 1-2, only the test rows whose window holds a gap; in
 setup 3 it fits the round's own model and predicts every row. A gap-free row
 is predicted once, in one batch, and every round reuses that forecast, so
 its rounds agree exactly: its pooled mean is that forecast and its
-between-round variance is zero. The rounds fill one (B, hours) stack of
-forecasts and a (B,) array of round variances, allocated once per pooling,
-with the gap-free columns written once for all rounds; one ``rubin_pool``
-call pools every hour of the cell.
+between-round variance is zero.
+
+Each round is computed once per (setup, seed). A :class:`Pipeline` keeps
+one round stack per (setup, seed): a (B, hours) array of forecasts and a
+(B,) array of round variances, with the gap-free columns written once for
+all rounds. Since round ``b`` depends only on ``(seed, b)``, the first B
+rows of a longer stack are the B-round stack, so pooling B rounds computes
+only the rounds the stack does not hold yet and pools its first B rows with
+one ``rubin_pool`` call, bit for bit what a fresh pipeline gives.
 """
 
 from __future__ import annotations
@@ -149,12 +154,15 @@ class Pipeline:
     """One spec's forecasts over a :class:`Completions`. The shared
     single-imputation model and its forecasts of the gap-free test rows are
     built on first use and serve every setup-1/2 pooling; so does the
-    failure of a shared fit."""
+    failure of a shared fit. The rounds of each (setup, seed) are kept as
+    one round stack that every pooling of them reads and grows."""
 
     def __init__(self, completions: Completions, spec: models.RegressorSpec):
         self.completions = completions
         self.spec = spec
         self._shared_failure: Exception | None = None
+        # (setup, seed) -> its round stack: (B, hours) forecasts, (B,) variances
+        self._stacks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def shared(self) -> tuple[models.TrainedModel, float]:
@@ -181,22 +189,37 @@ class Pipeline:
     def pool(self, setup: int, n_rounds: int, seed: int) -> PooledPrediction:
         """:func:`run_pipeline`'s rounds and pooling, for this spec and the
         sampler of :attr:`completions`: one array pooling, each moment with
-        one entry per test hour."""
+        one entry per test hour. Rounds of ``(setup, seed)`` that an earlier
+        pooling computed are reused; a pooling that raises keeps none of the
+        rounds it added."""
         if setup not in SETUPS:
             raise ValueError(f"setup must be one of {SETUPS}, got {setup}")
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         b_total = 1 if setup == 1 else int(n_rounds)
+        stack = self._stacks.get((setup, seed))
+        if stack is None or len(stack[1]) < b_total:
+            stack = self._stacks[setup, seed] = self._grow(setup, seed, stack, b_total)
+        means, variances = stack
+        return rubin_pool(means[:b_total], variances[:b_total])
+
+    def _grow(self, setup: int, seed: int, stack: tuple | None,
+              b_total: int) -> tuple[np.ndarray, np.ndarray]:
+        """The round stack of ``(setup, seed)``, ``stack`` (None for no
+        rounds) extended to ``b_total`` rounds."""
+        done = 0 if stack is None else len(stack[1])
         c = self.completions
         means = np.empty((b_total, c.gap_rows.size))  # row b: round b's forecasts
         variances = np.empty(b_total)
+        if stack is not None:
+            means[:done], variances[:done] = stack
         if setup in (1, 2):
             model, var = self.shared
-            variances[:] = var
+            variances[done:] = var
             gap = c.gap_rows
-            means[:, ~gap] = self.gap_free_means
+            means[done:, ~gap] = self.gap_free_means
 
-        for b in range(b_total):
+        for b in range(done, b_total):
             rng = np.random.default_rng([seed, b + 1])
             if setup == 3:
                 train_ds = c.train_draw(rng)  # drawn before the test series
@@ -207,7 +230,7 @@ class Pipeline:
                 # only the gap rows' windows outlive this line
                 inputs = (c.test_single() if setup == 1 else c.test_draw(rng)).inputs[gap]
                 means[b, gap] = model.predict(inputs)
-        return rubin_pool(means, variances)
+        return means, variances
 
 
 def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> float:

@@ -34,6 +34,7 @@ from pvmi.imputation import fit_sampler, neighbors
 from pvmi.intervals import gamma_quantile, inverse_normal_cdf, regularized_gamma_p
 from pvmi.models import LassoRegressor, default_knn_grid, tune_chronological
 from pvmi.models.mlp import init_params, loss_and_grads
+from pvmi.pipeline import Completions, Pipeline
 from pvmi.series import HourlySeries
 
 from conftest import ACCEPTANCE_LINES
@@ -153,10 +154,15 @@ def directional_grid():
             MissingSpec(mode="target-fraction", target_fraction=0.30,
                         block_len_hours=24, seed=seed + 2),
         )
+        # run_pipeline's stages, built once per seed: one sampler and
+        # completions, and one pipeline per family whose B = 10 scenarios
+        # extend the round stacks of its B = 5 scenarios
+        completions = Completions(train, test, fit_sampler(train))
         for family, spec in FAMILY_SPECS.items():
+            pipeline = Pipeline(completions, spec)
             row = {}
             for label, setup, b in SCENARIOS:
-                pooled = run_pipeline(train, test, spec, setup, n_rounds=b, seed=seed)
+                pooled = pipeline.pool(setup, b, seed).hours()
                 normal_bands = [normal_interval(p.mean, p.total_var, ALPHA)
                                 for p in pooled]
                 gamma_bands = [gamma_interval(p.mean, max(p.total_var, 0.0), ALPHA)

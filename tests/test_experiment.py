@@ -255,6 +255,11 @@ def test_config_from_json_names_a_missing_key(key):
     ("hidden", {"models": [{"family": "mlp", "hyperparameters": {"hidden": [4.9, 3]}}]}),
     ("grid", {"models": [{"family": "knn", "grid": []}]}),
     ("interval_families", {"interval_families": ["normal", "normal"]}),
+    (r"blocks\[0\]", {"test_missing": {**EXPLICIT, "blocks": [5]}}),
+    (r"blocks\[0\]", {"test_missing": {**EXPLICIT, "blocks": [[1, 2, 3]]}}),
+    ("hyperparameters", {"models": [{"family": "knn", "hyperparameters": 5}]}),
+    ("grid", {"models": [{"family": "knn", "grid": [5]}]}),
+    ("grid", {"models": [{"family": "knn", "grid": {"k": 2}}]}),
 ])
 def test_config_from_json_rejects_a_malformed_axis_or_seed(field, patch):
     # each would otherwise fail late (after the sampler fit and tuning, with
@@ -657,7 +662,8 @@ def test_a_cut_that_raises_fails_only_its_pipelines_cells(tmp_path, monkeypatch)
 
 def test_run_fits_each_shared_model_once_and_finds_neighbours_once(tmp_path, monkeypatch):
     # setup 1 and every setup-2 cell of a spec share one single-imputation
-    # model (1 fit), setup 3 fits one model per round (2 + 3); the sampler
+    # model (1 fit); setup 3 fits one model per round, and its B = 2 cell
+    # pools the first 2 of the B = 3 cell's rounds (3 fits); the sampler
     # neighbours of each series' gaps are found once, whatever B is
     import pvmi.imputation
     import pvmi.models
@@ -680,8 +686,36 @@ def test_run_fits_each_shared_model_once_and_finds_neighbours_once(tmp_path, mon
         return dict(calls)
 
     few, many = counts((2, 3)), counts((4, 5))
-    assert few["fit"] == 6
+    assert few["fit"] == 4
     assert few["neighbors"] == many["neighbors"]
+
+
+def test_every_cell_pools_the_first_b_rounds_of_its_setup(tmp_path):
+    # one seed per (model, setup): every B of a setup carries it, and each
+    # cell's moments are the bits of a fresh pipeline pooling B rounds of it
+    config = small_config(model_configs=(KNN2, ModelConfig("lasso", {"lam": 0.01})),
+                          setups=(1, 2, 3), n_rounds=(2, 3))
+    run(config, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    train, test = split_chronological(generate(config.data_synth), config.test_len)
+    train, _ = inject_missing(train, config.train_missing)
+    test, _ = inject_missing(test, config.test_missing)
+    completions = Completions(train, test, fit_sampler(train, k=config.sampler_k))
+    specs = {m["label"]: RegressorSpec(m["family"], m["hyperparameters"], m["seed"])
+             for m in manifest["models"]}
+    seeds = {}
+    for entry in manifest["cells"]:
+        seeds.setdefault((entry["model"], entry["setup"]), set()).add(entry["seed"])
+        pooled = Pipeline(completions, specs[entry["model"]]).pool(
+            entry["setup"], entry["n_rounds"] or 1, entry["seed"])
+        rows = _read_cell_csv_oracle(tmp_path / entry["file"])
+        for name, column in (("pooled_mean", pooled.mean), ("within_var", pooled.within_var),
+                             ("between_var", pooled.between_var),
+                             ("total_var", pooled.total_var)):
+            assert [r[name] for r in rows] == column.tolist(), (entry["id"], name)
+    assert len(manifest["cells"]) == 2 * 5 * 2
+    assert all(len(s) == 1 for s in seeds.values()) and len(seeds) == 2 * 3
+    assert len(set.union(*seeds.values())) == 2 * 3
 
 
 # --------------------------------------------------------------------- cli

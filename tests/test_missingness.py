@@ -59,6 +59,13 @@ def test_explicit_validation():
         inject_missing(s, MissingSpec(MODE_EXPLICIT, blocks=((4, 6), (8, 2))))
 
 
+@pytest.mark.parametrize("blocks", [[5], [[1, 2, 3]], [[1]], ["ab"], [None]])
+def test_explicit_rejects_a_block_that_is_not_a_pair(blocks):
+    # each raised a bare TypeError or an unpacking ValueError naming no field
+    with pytest.raises(ValueError, match=r"^blocks\[0\] must be a list of 2 integers"):
+        MissingSpec(MODE_EXPLICIT, blocks=blocks)
+
+
 def test_explicit_rejects_already_missing():
     p = np.arange(30, dtype=float)
     p[12] = np.nan

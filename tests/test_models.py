@@ -116,6 +116,13 @@ def test_spec_rejects_a_value_of_the_wrong_type(family, hp, key):
         RegressorSpec(family, hp, seed)
 
 
+@pytest.mark.parametrize("hp", [5, [5], None, "k"])
+def test_spec_rejects_hyperparameters_that_are_not_a_mapping(hp):
+    # each raised a bare TypeError from dict(...), or read a string as keys
+    with pytest.raises(ValueError, match="^hyperparameters must be a mapping"):
+        RegressorSpec("knn", hp)
+
+
 def test_spec_takes_the_types_of_the_fit_defaults():
     # a numpy scalar is stored as the Python number it holds
     assert type(RegressorSpec("knn", {"k": np.int64(3)}).hyperparameters["k"]) is int

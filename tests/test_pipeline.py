@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvmi import (
     MissingSpec,
@@ -20,7 +22,8 @@ from pvmi import (
     split_chronological,
 )
 from pvmi.missingness import MODE_FRACTION
-from pvmi.pipeline import Completions, Pipeline, _round_variance
+from pvmi.models import KNNRegressor
+from pvmi.pipeline import SETUPS, Completions, Pipeline, _round_variance
 
 pytestmark = pytest.mark.threaded_blas
 
@@ -235,3 +238,57 @@ def test_gap_free_windows_have_exactly_zero_between_variance(gappy_pair, family,
         assert np.array_equal(np.array([p.mean for p in pooled])[free], shared)
         if setup == 2:
             assert np.any(between[~free] > 0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(family=st.sampled_from(("knn", "lasso")),
+       requests=st.lists(st.tuples(st.sampled_from(SETUPS), st.integers(1, 5),
+                                   st.sampled_from((4, 9))), min_size=1, max_size=6))
+def test_any_order_of_poolings_gives_the_bits_of_a_fresh_pipeline(gappy_pair, family,
+                                                                  requests):
+    # round b depends only on (seed, b), so a pooling that reuses, extends
+    # or takes the first rows of an earlier pooling's round stack must equal
+    # one computed from scratch
+    train, test = gappy_pair
+    spec = FAMILY_SPECS[family]
+    pipeline = Pipeline(Completions(train, test, fit_sampler(train, k=5)), spec)
+    for setup, n_rounds, seed in requests:
+        got = pipeline.pool(setup, n_rounds, seed).hours()
+        assert got == run_pipeline(train, test, spec, setup, n_rounds, seed, sampler_k=5)
+
+
+def test_a_longer_pooling_fits_and_predicts_only_its_new_rounds(gappy_pair, monkeypatch):
+    import pvmi.models
+
+    train, test = gappy_pair
+    pipeline = Pipeline(Completions(train, test, fit_sampler(train)), SPEC)
+    for setup in (1, 2, 3):
+        pipeline.pool(setup, 3, seed=4)
+    calls = {"fit": 0, "predict": 0, "train_draw": [], "test_draw": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def drawn(name, fn):
+        def wrapper(self, rng):
+            calls[name].append(rng.bit_generator.seed_seq.entropy[1] - 1)  # round b
+            return fn(self, rng)
+        return wrapper
+
+    monkeypatch.setattr(pvmi.models, "fit", counted("fit", pvmi.models.fit))
+    monkeypatch.setattr(KNNRegressor, "predict", counted("predict", KNNRegressor.predict))
+    for name in ("train_draw", "test_draw"):
+        monkeypatch.setattr(Completions, name, drawn(name, getattr(Completions, name)))
+
+    for setup in (1, 2, 3):
+        assert pipeline.pool(setup, 5, seed=4).n_rounds == (1 if setup == 1 else 5)
+    # setup 3 fits rounds 3 and 4; setups 2 and 3 each predict them
+    assert calls == {"fit": 2, "predict": 4, "train_draw": [3, 4], "test_draw": [3, 4, 3, 4]}
+
+    calls.update(fit=0, predict=0, train_draw=[], test_draw=[])
+    for setup in (1, 2, 3):
+        assert pipeline.pool(setup, 2, seed=4).n_rounds == (1 if setup == 1 else 2)
+    assert calls == {"fit": 0, "predict": 0, "train_draw": [], "test_draw": []}
