@@ -82,12 +82,21 @@ def check(name: str, value, kind, low=None):
     return plain
 
 
+def check_list(name: str, value) -> tuple:
+    """``value`` of list field ``name`` as a tuple. Raises ``ValueError``
+    naming the field if it is not a list; a string is not one."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def check_fields(obj, **lows) -> None:
     """:func:`check` every ``int``, ``float`` and ``str`` field of the frozen
-    dataclass ``obj`` against its declared annotation, each element of a
-    ``tuple[X, ...]`` field too; an ``X | None`` field also takes None, and
-    other fields are left alone. ``lows`` gives fields their lower bounds.
-    Each field is stored as the value :func:`check` returns."""
+    dataclass ``obj`` against its declared annotation; a ``tuple[X, ...]``
+    field must be a list (:func:`check_list`), stored as a tuple, and each
+    element of kind ``X`` is checked too. An ``X | None`` field also takes
+    None, and other fields are left alone. ``lows`` gives fields their lower
+    bounds. Each field is stored as the value :func:`check` returns."""
     hints = _type_hints(type(obj))
     for f in fields(obj):
         value, hint = getattr(obj, f.name), hints[f.name]
@@ -98,8 +107,10 @@ def check_fields(obj, **lows) -> None:
             (hint,) = (a for a in args if a is not type(None))
             args = typing.get_args(hint)
         low = lows.get(f.name)
-        if typing.get_origin(hint) is tuple and args[1:] == (...,) and args[0] in _KINDS:
-            value = tuple(check(f.name, v, args[0], low) for v in value)
+        if typing.get_origin(hint) is tuple and args[1:] == (...,):
+            value = check_list(f.name, value)
+            if args[0] in _KINDS:
+                value = tuple(check(f.name, v, args[0], low) for v in value)
         elif hint in _KINDS:
             value = check(f.name, value, hint, low)
         else:

@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models
-from .errors import ExperimentError, check_fields
+from .errors import ExperimentError, check_fields, check_list
 from .features import WINDOW_HOURS
 from .imputation import fit_sampler
 from .intervals import INTERVAL_FAMILIES
@@ -133,13 +133,14 @@ class ExperimentConfig:
     output_dir: str = "experiment-out"
 
     def __post_init__(self) -> None:
-        for name in ("model_configs", "setups", "n_rounds", "interval_families"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_fields(self, setups=1, n_rounds=1, sampler_k=1, master_seed=0)
         if (self.data_csv is None) == (self.data_synth is None):
             raise ValueError("config must name exactly one data source (csv or synth)")
         if not self.model_configs:
             raise ValueError("config must list at least one model")
-        check_fields(self, setups=1, n_rounds=1, sampler_k=1, master_seed=0)
+        if not all(isinstance(m, ModelConfig) for m in self.model_configs):
+            raise ValueError("model_configs must be a list of ModelConfig, "
+                             f"got {self.model_configs!r}")
         for name in ("setups", "n_rounds"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -180,7 +181,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         data_csv=data.get("csv"),
         data_synth=from_json(SynthSpec, "data.synth", data["synth"]) if "synth" in data else None,
         model_configs=tuple(from_json(ModelConfig, f"models[{i}]", m)
-                            for i, m in enumerate(doc.pop("models"))),
+                            for i, m in enumerate(check_list("models", doc.pop("models")))),
         **doc,
     )
 
@@ -195,6 +196,8 @@ def from_json(cls, where: str, doc: dict):
 
 
 def _check_keys(where: str, doc: dict, known: set, required: set = frozenset()) -> None:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where} must be a mapping, got {doc!r}")
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown}")

@@ -128,6 +128,12 @@ def test_config_field_validation():
         small_config(interval_families=("uniform",))
     with pytest.raises(ValueError, match="alpha"):
         small_config(alpha=1.0)
+    with pytest.raises(ValueError, match="^n_rounds must be a list"):
+        small_config(n_rounds=5)
+    with pytest.raises(ValueError, match="^model_configs must be a list of ModelConfig"):
+        small_config(model_configs=[5])
+    with pytest.raises(ValueError, match="^blocks must be a list"):
+        MissingSpec("explicit-blocks", blocks=5)
 
 
 def test_config_from_json_round_trip():
@@ -260,12 +266,20 @@ def test_config_from_json_names_a_missing_key(key):
     ("hyperparameters", {"models": [{"family": "knn", "hyperparameters": 5}]}),
     ("grid", {"models": [{"family": "knn", "grid": [5]}]}),
     ("grid", {"models": [{"family": "knn", "grid": {"k": 2}}]}),
+    ("n_rounds", {"n_rounds": 5}),
+    ("setups", {"setups": 1}),
+    (r"models\[0\]", {"models": [5]}),
+    ("models", {"models": {"family": "knn"}}),
+    ("interval_families", {"interval_families": "normal"}),
+    ("blocks", {"test_missing": {**EXPLICIT, "blocks": 5}}),
+    ("data", {"data": "x.csv"}),
 ])
 def test_config_from_json_rejects_a_malformed_axis_or_seed(field, patch):
     # each would otherwise fail late (after the sampler fit and tuning, with
     # no summary.json), run with a truncated value (k 2.5 as 2), remove the
     # wrong hours (blocks [[1.5, 2]] removed hours 1-2), fail with a bare
-    # numpy TypeError, write one cell twice, or echo ``true``
+    # numpy TypeError or ``'int' object is not iterable``, iterate a string's
+    # characters or a mapping's keys, write one cell twice, or echo ``true``
     with pytest.raises(ValueError, match=f"^{field} must"):
         config_from_json({**MINIMAL_DOC, **patch})
 

@@ -1,6 +1,7 @@
 """Regressor families, shared scaling, and chronological tuning."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,71 +174,80 @@ def test_knn_matches_brute_force_neighbour_search(rng):
     assert np.allclose(model.predict(queries), expected, atol=1e-9)
 
 
+def oracle_nearest(xs, q, k, own=None):
+    """Brute force: the k training rows with the smallest float64 distance
+    ``((xs - q) ** 2).sum(axis=1)``, ties to the smaller index, in ascending
+    index order; ``own`` is left out."""
+    d2 = ((xs - q) ** 2).sum(axis=1)
+    ranked = np.lexsort((np.arange(len(xs)), d2))
+    if own is not None:
+        ranked = ranked[ranked != own]
+    return np.sort(ranked[:k])
+
+
+def assert_knn_matches_the_oracle(model, x, y, queries):
+    """``predict`` and ``loo_residual_variance`` equal the oracle's targets,
+    averaged in index order, bit for bit."""
+    xs, qs = model.scaler.transform(x), model.scaler.transform(queries)
+    expected = [y[oracle_nearest(xs, q, model.k)].mean() for q in qs]
+    np.testing.assert_array_equal(model.predict(queries), expected)
+    if model.k < len(x):
+        resid = np.array([y[oracle_nearest(xs, xs[i], model.k, own=i)].mean() - y[i]
+                          for i in range(len(x))])
+        assert model.loo_residual_variance() == np.mean(resid ** 2)
+
+
 @st.composite
-def distance_rows(draw):
-    """An (m, n) block of squared distances and a k: drawn from a few
-    integers to force ties, or continuous; with some +inf entries, as on the
-    leave-one-out diagonal."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 60))
-    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+def knn_cases(draw):
+    """Training rows, targets, queries, k and a chunk budget, with exact
+    duplicates, mirrored near-ties 1e-12 apart, constant features, one
+    huge-norm training row or query, and more rows than residue classes."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(129, 300)))
+    p = draw(st.sampled_from([1, 2, 5, 48]))
+    k = draw(st.one_of(st.just(1), st.just(n), st.just(n - 1), st.integers(1, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    levels = draw(st.sampled_from([1, 2, 3, 5, None]))
-    if levels is None:
-        d2 = rng.normal(size=(m, n))
+    if draw(st.booleans()):  # few levels: exact duplicates and exact ties
+        x = rng.integers(0, 3, size=(n, p)).astype(float)
     else:
-        d2 = rng.integers(0, levels, size=(m, n)).astype(float)
-    d2[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = np.inf
-    return d2, k
+        x = rng.normal(size=(n, p))
+    queries = [rng.normal(size=(3, p)), x[rng.integers(0, n, size=3)]]
+    if n >= 4 and draw(st.booleans()):  # mirrored pairs around a query
+        centre = rng.normal(size=p)
+        step = 1e-12 * rng.normal(size=p)
+        i, j = rng.choice(n, size=2, replace=False)
+        x[i], x[j] = centre + step, centre - step
+        queries.append(centre[None, :])
+    if draw(st.booleans()):
+        x[:, rng.integers(0, p)] = draw(st.sampled_from([0.0, 0.1, -7.5]))
+    outlier = draw(st.sampled_from([None, "row", "query"]))
+    scale = draw(st.sampled_from([1e3, 1e30, 1e100]))
+    if outlier == "row":
+        x[rng.integers(0, n)] *= scale
+    elif outlier == "query":
+        queries.append(scale * rng.normal(size=(1, p)))
+    budget = draw(st.sampled_from([4 * n, 4 * n * 7, knn._CHUNK_BYTES]))
+    return x, rng.normal(size=n), np.vstack(queries), k, budget
 
 
 @pytest.mark.threaded_blas
 @settings(max_examples=300, deadline=None)
-@given(case=distance_rows())
-def test_k_nearest_matches_a_stable_sort(case):
-    d2, k = case
-    n = d2.shape[1]
-    expected = [np.sort(np.lexsort((np.arange(n), row))[:k]) for row in d2]
-    np.testing.assert_array_equal(knn._k_nearest(d2, k), expected)
-
-
-def reference_distances(x, q):
-    """Squared distances chunk by chunk from the product on a transposed
-    view of the training rows, ``(2.0 * chunk) @ x.T``: the model's layout
-    must reproduce these bits."""
-    rows = max(1, knn._CHUNK_BYTES // (8 * x.shape[0]))
-    for lo in range(0, q.shape[0], rows):
-        hi = min(q.shape[0], lo + rows)
-        chunk = q[lo:hi]
-        if hi - lo < rows:
-            chunk = np.concatenate([chunk, np.zeros((rows - (hi - lo), q.shape[1]))])
-        d2 = ((2.0 * chunk) @ x.T)[: hi - lo]
-        np.subtract((q[lo:hi] ** 2).sum(axis=1)[:, None], d2, out=d2)
-        yield d2 + (x ** 2).sum(axis=1)
+@given(case=knn_cases())
+def test_knn_equals_the_float64_oracle(case):
+    # the float32 filter must never drop a neighbour of the exact search,
+    # whatever the chunk (one row, seven, the default)
+    x, y, queries, k, budget = case
+    with mock.patch.object(knn, "_CHUNK_BYTES", budget):
+        model = KNNRegressor.fit(x, y, k=k)
+        assert_knn_matches_the_oracle(model, x, y, queries)
 
 
 @pytest.mark.threaded_blas
-@pytest.mark.parametrize("rows", [128, None])  # several chunks; the default
-def test_knn_distances_equal_the_reference_product_bit_for_bit(pv_windows, monkeypatch, rows):
+@pytest.mark.parametrize("k", [1, 4, 299])
+def test_knn_equals_the_float64_oracle_on_pv_windows(pv_windows, monkeypatch, k):
+    # strongly correlated lags with exact night duplicates, in 24-row chunks
     x, y = pv_windows
-    if rows is not None:
-        monkeypatch.setattr(knn, "_CHUNK_BYTES", 8 * 300 * rows)
-    model = KNNRegressor.fit(x[:300], y[:300], k=4)
-    xs, qs = model.scaler.transform(x[:300]), model.scaler.transform(x)
-    seen = []
-    select = knn._k_nearest
-
-    def record(d2, k):
-        seen.append(d2.copy())
-        return select(d2, k)
-
-    monkeypatch.setattr(knn, "_k_nearest", record)
-    model.predict(x)
-    np.testing.assert_array_equal(np.vstack(seen), np.vstack(list(reference_distances(xs, qs))))
-    seen.clear()
-    model.loo_residual_variance()
-    expected = np.vstack(list(reference_distances(xs, xs)))
-    np.fill_diagonal(expected, np.inf)
-    np.testing.assert_array_equal(np.vstack(seen), expected)
+    monkeypatch.setattr(knn, "_CHUNK_BYTES", 4 * 300 * 24)
+    assert_knn_matches_the_oracle(KNNRegressor.fit(x[:300], y[:300], k=k), x[:300], y[:300], x)
 
 
 def test_knn_invariant_to_feature_rescaling(rng):
@@ -264,7 +274,7 @@ def test_knn_rejects_bad_k(rng):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_knn_loo_variance_matches_brute_force(rng, k):
-    # 600 rows span three query chunks of the distance pass
+    # 600 rows span two query chunks of the distance pass
     data = make_dataset(rng, 600)
     xs = (data.inputs - data.inputs.mean(axis=0)) / data.inputs.std(axis=0)
     sq = []
@@ -317,28 +327,40 @@ def test_knn_results_do_not_depend_on_the_chunk_size(pv_windows, monkeypatch):
     model = KNNRegressor.fit(x[:300], y[:300], k=4)
     queries = np.vstack([x[300:], x[:20]])  # 20 rows that are training rows
     expected = model.predict(queries), model.loo_residual_variance()
-    for budget in (8 * 300, 8 * 300 * 300):  # one row, every row
+    for budget in (4 * 300, 4 * 300 * 300):  # one row, every row
         monkeypatch.setattr(knn, "_CHUNK_BYTES", budget)
         assert np.array_equal(model.predict(queries), expected[0])
         assert model.loo_residual_variance() == expected[1]
 
 
-@pytest.mark.parametrize("n_train", [100, 600, 3000])
+@pytest.mark.threaded_blas
+@pytest.mark.parametrize("n_train", [100, 600, 2700, 3000])
 def test_knn_row_predicts_the_same_alone_and_in_a_batch(n_train):
     # each query sits halfway between two training rows, so its nearest
     # neighbour is decided by the last bits of the distances: those must not
     # depend on how many other rows share the query's batch. The tied rows
-    # come first: the last few training rows can round differently by the
-    # query's position in the product (see the knn module docstring).
+    # come first, then last, where a BLAS kernel's remainder block falls.
     rng = np.random.default_rng(n_train)
     queries = rng.normal(size=(60, 48))
     step = 1e-4 * rng.normal(size=queries.shape)
-    x = np.vstack([queries + step, queries - step, rng.normal(size=(n_train, 48))])
-    model = KNNRegressor.fit(x, np.arange(len(x), dtype=float), k=1)
-    batch = model.predict(queries)
-    alone = np.array([model.predict(queries[i:i + 1])[0] for i in range(len(queries))])
-    np.testing.assert_array_equal(alone, batch)
-    assert np.all(batch < 2 * len(queries))  # one of the two mirrored rows won
+    tied, other = np.vstack([queries + step, queries - step]), rng.normal(size=(n_train, 48))
+    for x, first in ((np.vstack([tied, other]), 0), (np.vstack([other, tied]), n_train)):
+        model = KNNRegressor.fit(x, np.arange(len(x), dtype=float), k=1)
+        batch = model.predict(queries)
+        alone = np.array([model.predict(queries[i:i + 1])[0] for i in range(len(queries))])
+        np.testing.assert_array_equal(alone, batch)
+        assert np.all((first <= batch) & (batch < first + len(tied)))  # a mirrored row won
+
+
+def test_knn_loo_leaves_its_own_row_out_when_the_filter_keeps_every_row():
+    # rows of 1e20 have squared norms past float32 range, so every
+    # threshold is +inf and the filter keeps each row's own column: the
+    # exact stage must drop it again. Rows 0-4 and 5-9 are pairwise apart.
+    rng = np.random.default_rng(3)
+    x = 1e20 * np.vstack([np.eye(5), np.eye(5) + 1e-3 * rng.random((5, 5))])
+    y = rng.normal(size=10)
+    model = KNNRegressor(FeatureScaler(np.zeros(5), np.ones(5)), x, y, k=1)
+    assert_knn_matches_the_oracle(model, x, y, x)
 
 
 def test_knn_peak_memory_stays_flat(rng):
