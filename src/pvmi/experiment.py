@@ -27,15 +27,19 @@ fitted and predicted once, for the largest B.
     flag) for each cell, sufficient to re-aggregate the summary.
 
 :func:`run` works in three passes over arrays. It pools each pipeline once.
-It cuts each interval family once: one kernel call on the concatenated
-hours of every pipeline that pooled, split back by pipeline (the kernels
-are elementwise, so every bound has the bits of a call on its pipeline's
-hours alone). Then it scores and writes each cell. The CSVs hold ``repr``
-of every float, so they round-trip exactly; their columns are formatted
-once where they are shared: hour, truth and mask once per run, a
-pipeline's four pooled moments at its first cell (dropped after its last),
-and only the bounds and covered flag per cell. :func:`reaggregate` reads
-each CSV back into column arrays and scores them with the same
+It cuts each interval family once: one kernel call on the distinct
+(mean, total variance) pairs among the hours of every pipeline that pooled,
+each pair cut once, gathered back to every hour that holds it and split
+back by pipeline (the kernels are elementwise, so every bound has the bits
+of a call on its pipeline's hours alone). Then it scores and writes each
+cell. The CSVs hold ``repr`` of every float, so they round-trip exactly;
+their columns are formatted once where they are shared: hour, truth and
+mask once per run, a pipeline's four pooled moments at its first cell
+(dropped after its last), and only the bounds and covered flag per cell;
+within a column, each distinct float is formatted once. Pairs and floats
+are told apart by their bits, never by float equality, so ``0.0`` and
+``-0.0`` keep their own bounds and text. :func:`reaggregate` reads each CSV
+back into column arrays and scores them with the same
 :func:`~pvmi.metrics.score` that :func:`run` uses.
 
 Cell failures are recorded as failure markers instead of aborting the grid;
@@ -389,11 +393,13 @@ def _pool_pipelines(config: ExperimentConfig, cells: list[Cell],
 
 def _cut(config: ExperimentConfig, pooled: dict[str, tuple]) -> dict[tuple, object]:
     """The bounds of every (pipeline id, interval family), or the exception
-    that its pooling or its cut raised. Each family cuts the hours of every
-    pipeline that pooled in one kernel call; the kernels are elementwise, so
-    a pipeline's bounds are those of a call on its hours alone. If the call
-    raises, each pipeline is cut on its own, so that only the pipelines
-    whose hours raise fail, with the error a call on their hours gives."""
+    that its pooling or its cut raised. Each family cuts, in one kernel
+    call, the distinct (mean, total_var) pairs among the hours of every
+    pipeline that pooled, keyed by their bits; each hour then takes the
+    bounds of its pair. The kernels are elementwise, so a pipeline's bounds
+    are those of a call on its hours alone. If the call raises, each
+    pipeline is cut on its own hours, so that only the pipelines whose
+    hours raise fail, with the error a call on their hours gives."""
     bounds: dict[tuple, object] = {}
     ok = {}
     for pid, (_, pooling) in pooled.items():
@@ -404,8 +410,12 @@ def _cut(config: ExperimentConfig, pooled: dict[str, tuple]) -> dict[tuple, obje
     if not ok:
         return bounds
     ends = np.cumsum([p.mean.size for p in ok.values()])[:-1]
-    mean = np.concatenate([p.mean for p in ok.values()])
-    total_var = np.concatenate([p.total_var for p in ok.values()])
+    hours = np.stack([np.concatenate([p.mean for p in ok.values()]),
+                      np.concatenate([p.total_var for p in ok.values()])], axis=1)
+    # the distinct (mean, total_var) pairs, keyed by their 16 bytes
+    _, first, inverse = np.unique(hours.view(np.dtype((np.void, 16))).ravel(),
+                                  return_index=True, return_inverse=True)
+    mean, total_var = hours[first].T.copy()
     for family in config.interval_families:
         kernel = INTERVAL_FAMILIES[family]
         try:
@@ -417,6 +427,7 @@ def _cut(config: ExperimentConfig, pooled: dict[str, tuple]) -> dict[tuple, obje
                 except Exception as exc:
                     bounds[pid, family] = exc
             continue
+        lower, upper = lower[inverse], upper[inverse]
         for pid, lo, up in zip(ok, np.split(lower, ends), np.split(upper, ends)):
             bounds[pid, family] = (lo, up)
     return bounds
@@ -505,9 +516,9 @@ def _hour_fields(test: HourlySeries, truth_restored: HourlySeries) -> list[str]:
 def _moment_fields(hour_fields: list[str], pooled) -> list[str]:
     """Each row's fields up to ``total_var``: the hour fields and the
     pooled moments."""
-    return [f"{h},{m!r},{w!r},{b!r},{t!r}" for h, m, w, b, t in zip(
-        hour_fields, pooled.mean.tolist(), pooled.within_var.tolist(),
-        pooled.between_var.tolist(), pooled.total_var.tolist())]
+    return [f"{h},{m},{w},{b},{t}" for h, m, w, b, t in zip(
+        hour_fields, _reprs(pooled.mean), _reprs(pooled.within_var),
+        _reprs(pooled.between_var), _reprs(pooled.total_var))]
 
 
 def _write_cell_csv(path: Path, moment_fields: list[str], lower: np.ndarray,
@@ -515,9 +526,18 @@ def _write_cell_csv(path: Path, moment_fields: list[str], lower: np.ndarray,
     truth = truth_restored.power[WINDOW_HOURS:]
     covered = np.where(truth_restored.mask[WINDOW_HOURS:], "",
                        np.where((lower <= truth) & (truth <= upper), "1", "0"))
-    rows = [f"{f},{lo!r},{up!r},{c}" for f, lo, up, c in zip(
-        moment_fields, lower.tolist(), upper.tolist(), covered.tolist())]
+    rows = [f"{f},{lo},{up},{c}" for f, lo, up, c in zip(
+        moment_fields, _reprs(lower), _reprs(upper), covered.tolist())]
     _write_text_atomic(path, "\n".join([_CSV_HEADER, *rows]) + "\n")
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every element of a float array, each distinct bit pattern
+    formatted once. Keyed by bits, not by value, so ``0.0`` and ``-0.0``
+    keep their own text."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
 
 
 _CSV_COLUMNS = _CSV_HEADER.split(",")

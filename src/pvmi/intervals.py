@@ -120,6 +120,10 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
     and variance ``a``) puts it at or below ``a + sqrt(a * p / (1 - p))``.
     A quantile below the smallest positive double (in x or in x * scale)
     comes out as ``math.ulp(0.0)``, not 0: the gamma law has no mass at 0.
+    Where the lower end of the bracket is that floor and the CDF there
+    already exceeds ``p`` by more than the tolerance, every t inside the
+    bracket does too, so the search could only end at the floor: the
+    quantile is returned as ``math.ulp(0.0)`` after that one evaluation.
 
     Raises
     ------
@@ -139,6 +143,9 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
     t_floor = _LOG_TINY + max(0.0, -math.log(scale))
     t_lo = max((math.log(p) + math.lgamma(a + 1.0)) / a, t_floor)
     t_hi = math.log(a + math.sqrt(a * p / (1.0 - p)))
+    tol = 1e-8
+    if t_lo == t_floor and regularized_gamma_p(a, math.exp(t_floor)) - p > tol:
+        return math.ulp(0.0)  # f > tol on all the bracket: the search would end here
     # Wilson-Hilferty start, unless it falls outside the bracket
     z = inverse_normal_cdf(p)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
@@ -146,7 +153,6 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
     t = math.log(x) if x > 0.0 else math.nan
     if not t_lo < t < t_hi:
         t = 0.5 * (t_lo + t_hi)
-    tol = 1e-8
     for _ in range(200):
         x = math.exp(t)
         f = regularized_gamma_p(a, x) - p
@@ -307,18 +313,26 @@ def _gamma_quantiles(p: np.ndarray, a: np.ndarray, scale: np.ndarray) -> np.ndar
     t_floor = _LOG_TINY + np.maximum(0.0, -_libm(math.log, scale))
     t_lo = np.maximum((_libm(math.log, p) + _libm(math.lgamma, a + 1.0)) / a, t_floor)
     t_hi = _libm(math.log, a + np.sqrt(a * p / (1.0 - p)))
-    z = np.empty(n)
+    out = np.empty(n)
+    tol = 1e-8
+    # the underflow check of gamma_quantile: these end at ulp(0.0) at once
+    floor = t_lo == t_floor
+    under = np.zeros(n, dtype=bool)
+    under[floor] = _regularized_gamma_p(a[floor], _libm(math.exp, t_floor[floor]),
+                                        lgamma_a[floor]) - p[floor] > tol
+    out[under] = math.ulp(0.0)
+    idx = np.flatnonzero(~under)  # the elements still searching
+    p, a, scale, lgamma_a, t_floor, t_lo, t_hi = (
+        v[idx] for v in (p, a, scale, lgamma_a, t_floor, t_lo, t_hi))
+    z = np.empty(idx.size)
     for q in set(p.tolist()):
         z[p == q] = inverse_normal_cdf(q)
     g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))
     x = a * g * g * g
-    t = np.full(n, math.nan)
+    t = np.full(idx.size, math.nan)
     t[x > 0.0] = _libm(math.log, x[x > 0.0])
     t = np.where((t_lo < t) & (t < t_hi), t, 0.5 * (t_lo + t_hi))
 
-    out = np.empty(n)
-    idx = np.arange(n)  # the elements still searching
-    tol = 1e-8
     for _ in range(200):
         x = _libm(math.exp, t)
         f = _regularized_gamma_p(a, x, lgamma_a) - p

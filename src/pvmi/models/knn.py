@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InsufficientDataError
+from ..errors import DataError, InsufficientDataError
 from .scaling import FeatureScaler
 
 _CHUNK_BYTES = 1 << 20
@@ -98,7 +98,18 @@ class KNNRegressor:
         return cls(scaler, scaler.transform(inputs), targets.copy(), k)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        q = self.scaler.transform(np.atleast_2d(x))
+        """The mean target of each query row's k nearest training rows.
+
+        Raises
+        ------
+        DataError
+            If a query row holds a NaN or infinite entry, which has no
+            nearest neighbours.
+        """
+        x = np.atleast_2d(x)
+        if not np.isfinite(x).all():
+            raise DataError("query rows contain NaN or infinite values")
+        q = self.scaler.transform(x)
         out = np.empty(q.shape[0])
         for lo, hi, idx in self._nearest(q, loo=False):
             out[lo:hi] = self._y[idx].mean(axis=1)

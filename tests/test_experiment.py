@@ -1,13 +1,15 @@
 """Experiment grid driver, its artifacts, and the command-line front end."""
 
+import dataclasses
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvmi import (
@@ -498,6 +500,52 @@ def test_cell_csv_round_trips_every_double(tmp_path_factory, values):
         assert columns[name].tolist() == values  # float() inverts repr exactly
 
 
+# values whose text a float-keyed cache would get wrong or that sit at the
+# ends of the double range: signed zeros, subnormals, +-1e308
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308,
+                -1e308, 0.1, 1.0]
+
+
+@st.composite
+def _cell_columns(draw):
+    n = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    column = st.lists(value, min_size=n, max_size=n)
+    names = ("mean", "within_var", "between_var", "total_var", "lower", "upper", "truth")
+    cols = {name: draw(column) for name in names}
+    cols["mask"] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return cols
+
+
+def _cell_csv_text_oracle(hour_fields, cols):
+    lines = [_CSV_HEADER]
+    for i, h in enumerate(hour_fields):
+        lo, up, y = cols["lower"][i], cols["upper"][i], cols["truth"][i]
+        covered = "" if cols["mask"][i] else str(int(lo <= y <= up))
+        lines.append(f"{h},{cols['mean'][i]!r},{cols['within_var'][i]!r},"
+                     f"{cols['between_var'][i]!r},{cols['total_var'][i]!r},"
+                     f"{lo!r},{up!r},{covered}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cell_columns())
+@example({name: [0.0, -0.0, 0.0] for name in ("mean", "within_var", "between_var",
+                                              "total_var", "lower", "upper", "truth")}
+         | {"mask": [False, False, True]})
+def test_cell_csv_text_equals_a_per_row_repr_oracle(tmp_path_factory, cols):
+    hour_fields = [f"{WINDOW_HOURS + i},h{i},{int(m)}" for i, m in enumerate(cols["mask"])]
+    pooled = types.SimpleNamespace(**{k: np.array(cols[k]) for k in (
+        "mean", "within_var", "between_var", "total_var")})
+    truth = types.SimpleNamespace(power=np.array([0.0] * WINDOW_HOURS + cols["truth"]),
+                                  mask=np.array([False] * WINDOW_HOURS + cols["mask"]))
+    path = tmp_path_factory.mktemp("csv") / "cell.csv"
+    _write_cell_csv(path, _moment_fields(hour_fields, pooled), np.array(cols["lower"]),
+                    np.array(cols["upper"]), truth)
+    assert path.read_bytes() == _cell_csv_text_oracle(hour_fields, cols).encode()
+
+
 def test_cell_csv_reader_rejects_a_short_row(tmp_path):
     path = tmp_path / "cell.csv"
     path.write_text(_CSV_HEADER + "\n24,1.0,0,1.0\n")
@@ -611,13 +659,15 @@ def test_a_failing_shared_fit_is_fitted_once(tmp_path, monkeypatch):
     assert len(fits) == 2
 
 
-def _pooled_by_pipeline(monkeypatch):
+def _pooled_by_pipeline(monkeypatch, edit=None):
     """Wrap ``Pipeline.pool`` so that it records each pooling under its
-    pipeline id (knn models only)."""
+    pipeline id (knn models only), after ``edit`` if one is given."""
     pooled = {}
 
     def recorded(self, setup, n_rounds, seed):
         result = pool(self, setup, n_rounds, seed)
+        if edit is not None:
+            result = edit(result)
         b = f"_b{n_rounds}" if setup != 1 else ""
         pooled[f"s{setup}{b}_knn"] = result
         return result
@@ -627,21 +677,37 @@ def _pooled_by_pipeline(monkeypatch):
     return pooled
 
 
+# the first hours of every pipeline: each pairing of signed zeros, which
+# only their bits tell apart, and one hour that all pipelines share
+_SHARED_HOURS = ([0.0, -0.0, 0.0, -0.0, 0.5], [0.0, 0.0, -0.0, -0.0, 0.01])
+
+
+def _with_shared_hours(pooling):
+    mean, total_var = pooling.mean.copy(), pooling.total_var.copy()
+    n = len(_SHARED_HOURS[0])
+    mean[:n], total_var[:n] = _SHARED_HOURS
+    return dataclasses.replace(pooling, mean=mean, total_var=total_var)
+
+
 @pytest.mark.threaded_blas
 def test_each_family_is_cut_once_with_the_bits_of_per_pipeline_cuts(tmp_path, monkeypatch):
-    pooled = _pooled_by_pipeline(monkeypatch)
+    pooled = _pooled_by_pipeline(monkeypatch, _with_shared_hours)
     calls = []
     for family, kernel in list(INTERVAL_FAMILIES.items()):
         def counted(mean, variance, alpha, family=family, kernel=kernel):
-            calls.append(family)
+            calls.append((family, mean.size))
             return kernel(mean, variance, alpha)
         monkeypatch.setitem(INTERVAL_FAMILIES, family, counted)
     config = small_config(setups=(1, 2, 3), n_rounds=(2, 3))
     run(config, tmp_path)
-    assert sorted(calls) == ["gamma", "normal"]
     monkeypatch.undo()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert len(pooled) == 5 and len(manifest["cells"]) == 10
+    # one call per family, on each distinct (mean, total_var) bit pattern once
+    distinct = {(m.hex(), v.hex()) for p in pooled.values()
+                for m, v in zip(p.mean.tolist(), p.total_var.tolist())}
+    assert len(distinct) < sum(p.mean.size for p in pooled.values())
+    assert sorted(calls) == [("gamma", len(distinct)), ("normal", len(distinct))]
     for entry in manifest["cells"]:
         p = pooled[entry["id"].rsplit("_", 1)[0]]
         lower, upper = INTERVAL_FAMILIES[entry["interval_family"]](
@@ -650,23 +716,35 @@ def test_each_family_is_cut_once_with_the_bits_of_per_pipeline_cuts(tmp_path, mo
         for got, want in ((columns["lower"], lower), (columns["upper"], upper)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+        if entry["interval_family"] == "normal":  # the zeros' signs reach the bounds
+            assert np.signbit(columns["lower"][:4]).tolist() == [False, True, False, False]
 
 
 def test_a_cut_that_raises_fails_only_its_pipelines_cells(tmp_path, monkeypatch):
     pooled = _pooled_by_pipeline(monkeypatch)
     gamma = INTERVAL_FAMILIES["gamma"]
 
+    raised = []
+
+    def pairs(mean, variance):
+        return set(zip(mean.tolist(), variance.tolist()))
+
     def failing(mean, variance, alpha):
-        # raises on the hours of s2_b2, with a text that depends on the call
-        target = pooled["s2_b2_knn"].mean
-        n = target.size
-        if any(np.array_equal(mean[i:i + n], target) for i in range(0, mean.size, n)):
-            raise ArithmeticError(f"search failed for {mean.size // n} block(s)")
+        # raises on a call that holds an hour only s2_b2 has, wherever the
+        # hour sits in the call, with a text that depends on the call
+        own = pairs(pooled["s2_b2_knn"].mean, pooled["s2_b2_knn"].total_var)
+        for other in ("s1_knn", "s2_b3_knn"):
+            own -= pairs(pooled[other].mean, pooled[other].total_var)
+        if own & pairs(mean, variance):
+            raised.append(f"search failed for {mean.size // pooled['s2_b2_knn'].mean.size} "
+                          "block(s)")
+            raise ArithmeticError(raised[-1])
         return gamma(mean, variance, alpha)
 
     monkeypatch.setitem(INTERVAL_FAMILIES, "gamma", failing)
     with pytest.raises(ExperimentError, match="1 cell"):
         run(small_config(setups=(1, 2), n_rounds=(2, 3)), tmp_path)
+    assert len(raised) == 2 and raised[0] != raised[1]  # the batched call, then s2_b2's
     cells = json.loads((tmp_path / "summary.json").read_text())["cells"]
     failed = [(c["setup"], c["n_rounds"], c["interval_family"], c["error"])
               for c in cells if c["status"] == "failed"]

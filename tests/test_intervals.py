@@ -145,6 +145,109 @@ def test_gamma_quantile_round_trips_over_stress_ranges(log_shape, log_scale, p):
         assert regularized_gamma_p(shape, x / scale) == pytest.approx(p, abs=1e-8)
 
 
+def _gamma_quantile_oracle(p, shape, scale):
+    """The search of :func:`gamma_quantile` without its underflow check,
+    kept as the oracle of that check."""
+    a = shape
+    lgamma_a = math.lgamma(a)
+    t_floor = pvmi.intervals._LOG_TINY + max(0.0, -math.log(scale))
+    t_lo = max((math.log(p) + math.lgamma(a + 1.0)) / a, t_floor)
+    t_hi = math.log(a + math.sqrt(a * p / (1.0 - p)))
+    z = inverse_normal_cdf(p)
+    g = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
+    x = a * g * g * g
+    t = math.log(x) if x > 0.0 else math.nan
+    if not t_lo < t < t_hi:
+        t = 0.5 * (t_lo + t_hi)
+    tol = 1e-8
+    for _ in range(200):
+        x = math.exp(t)
+        f = regularized_gamma_p(a, x) - p
+        if abs(f) <= tol:
+            return x * scale
+        if f > 0.0:
+            t_hi = t
+        elif f < 0.0:
+            t_lo = t
+        else:
+            break  # NaN
+        dp_dt = math.exp(a * t - x - lgamma_a)  # x * pdf(x)
+        t = t - f / dp_dt if dp_dt > 0.0 else math.nan
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+            if t in (t_lo, t_hi):  # no double left inside the bracket
+                return math.ulp(0.0) if t_lo == t_floor else math.exp(t_hi) * scale
+    raise ArithmeticError(f"gamma quantile search failed (p={p}, shape={a})")
+
+
+def _at_floor(log_shape, log_scale, u):
+    """A (p, shape, scale) whose bracket starts at the floor (for tiny
+    scales the floor is no longer tiny in x), with p from 2e-8 below the CDF
+    at the floor (where the check fires or just does not) up to the
+    closed-form bound that puts t_lo at the floor (where the search runs)."""
+    shape, scale = math.exp(log_shape), math.exp(log_scale)
+    t_floor = pvmi.intervals._LOG_TINY - math.log(scale)
+    at_floor = regularized_gamma_p(shape, math.exp(t_floor))
+    bound = math.exp(shape * t_floor - math.lgamma(shape + 1.0))
+    p = at_floor - 2e-8 + u * (bound - at_floor + 2e-8)
+    return (p, shape, scale) if 0.0 < p < 1.0 else None
+
+
+_LOG_SMALL_SHAPE = st.floats(math.log(1e-6), math.log(1e-2))
+_SMALL_SHAPE_QUANTILE = st.one_of(
+    st.tuples(st.one_of(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from([0.025, 0.975])),
+              _LOG_SMALL_SHAPE.map(math.exp),
+              st.one_of(st.floats(math.log(1e-6), math.log(1e-2)),
+                        st.floats(math.log(1e2), math.log(1e6))).map(math.exp)),
+    st.builds(_at_floor, _LOG_SMALL_SHAPE, st.floats(math.log(1e-323), math.log(1e-300)),
+              st.floats(0.0, 1.0)).filter(lambda e: e is not None),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SMALL_SHAPE_QUANTILE, min_size=1, max_size=12))
+def test_the_underflow_check_keeps_every_quantiles_bits(elements):
+    want = [_outcome(_gamma_quantile_oracle, *e) for e in elements]
+    assert [_outcome(gamma_quantile, *e) for e in elements] == want
+    p, shape, scale = (np.array(c) for c in zip(*elements))
+    if all(isinstance(w, float) for w in want):
+        assert pvmi.intervals._gamma_quantiles(p, shape, scale).tolist() == want
+    else:
+        with pytest.raises((ValueError, ArithmeticError)):
+            pvmi.intervals._gamma_quantiles(p, shape, scale)
+
+
+def test_an_underflowing_quantile_takes_one_cdf_evaluation(monkeypatch):
+    # shape 1e-4: P(a, x) at the smallest double is about 0.93, far above
+    # p = 0.025, so the search could only end at the floor
+    calls = []
+
+    def counted(fn):
+        def wrapper(a, x, *args):
+            calls.append(np.size(x))
+            return fn(a, x, *args)
+        return wrapper
+
+    monkeypatch.setattr(pvmi.intervals, "regularized_gamma_p",
+                        counted(regularized_gamma_p))
+    assert gamma_quantile(0.025, 1e-4, 2.0) == math.ulp(0.0)
+    assert calls == [1]
+    monkeypatch.setattr(pvmi.intervals, "_regularized_gamma_p",
+                        counted(pvmi.intervals._regularized_gamma_p))
+    calls.clear()
+    q = pvmi.intervals._gamma_quantiles(np.array([0.025, 0.025]), np.array([1e-4, 3.0]),
+                                        np.array([2.0, 2.0]))
+    assert q[0] == math.ulp(0.0) and q[1] == gamma_quantile(0.025, 3.0, 2.0)
+    assert calls[0] == 1 and all(n == 1 for n in calls[1:])  # then the other alone
+
+
 def test_gamma_interval_tiny_shape_is_ordered():
     # shape 1.7e-4: the 97.5% quantile is near 7e-64 and the 2.5% quantile
     # lies below the smallest positive double

@@ -377,6 +377,19 @@ def test_knn_peak_memory_stays_flat(rng):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knn_predict_rejects_a_non_finite_query_entry(rng, bad):
+    data = make_dataset(rng, 50)
+    model = KNNRegressor.fit(data.inputs, data.targets, k=3)
+    queries = rng.normal(size=(4, 48))
+    queries[2, 17] = bad
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.predict(queries)
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.predict(queries[2])  # a single row
+    assert np.isfinite(model.predict(queries[[0, 1, 3]])).all()
+
+
 def test_knn_loo_variance_needs_k_below_n(rng):
     data = make_dataset(rng, 10)
     model = KNNRegressor.fit(data.inputs, data.targets, k=10)
