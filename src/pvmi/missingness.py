@@ -131,10 +131,10 @@ def _place_random_blocks(mask: np.ndarray, spec: MissingSpec) -> list[int]:
     chosen: list[int] = []
     while needed > 0:
         length = min(spec.block_len_hours, needed)
-        # admissible starts: the whole block fits and covers observed hours only
-        free = ~taken
-        window = np.convolve(free.astype(int), np.ones(length, dtype=int), mode="valid")
-        starts = np.flatnonzero(window == length)
+        # admissible starts: the whole block fits and covers observed hours
+        # only; a window's count of free hours is a difference of running sums
+        free_before = np.concatenate(([0], np.cumsum(~taken)))
+        starts = np.flatnonzero(free_before[length:] - free_before[:-length] == length)
         if starts.size == 0:
             raise ValueError(
                 "cannot reach the target fraction: no room left for a block "

@@ -65,7 +65,9 @@ class LassoRegressor:
         return cls(scaler, coef, targets.mean(), lam, steps)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.scaler.transform(np.atleast_2d(x)) @ self.coef_ + self.intercept_
+        """The linear forecast of each query row; a NaN or infinite entry
+        raises ``DataError``."""
+        return self.scaler.transform_queries(x) @ self.coef_ + self.intercept_
 
     def kkt_violation(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """Largest stationarity residual at the fitted coefficients.

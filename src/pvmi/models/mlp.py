@@ -177,4 +177,6 @@ class MLPRegressor:
         return cls(scaler, ws.params, y_mean, hidden)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return forward(self.params, self.scaler.transform(np.atleast_2d(x))) + self.target_mean
+        """The network's forecast of each query row; a NaN or infinite entry
+        raises ``DataError``."""
+        return forward(self.params, self.scaler.transform_queries(x)) + self.target_mean

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DataError
+
 
 @dataclass(frozen=True)
 class FeatureScaler:
@@ -27,4 +29,20 @@ class FeatureScaler:
         return cls(mean=mean, std=std)
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
-        return (np.asarray(inputs, dtype=float) - self.mean) / self.std
+        out = np.subtract(inputs, self.mean, dtype=float)
+        out /= self.std  # in place: one array of the inputs' size
+        return out
+
+    def transform_queries(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`transform` of query rows, as a 2-D array.
+
+        Raises
+        ------
+        DataError
+            If a query row holds a NaN or infinite entry, which no model
+            can forecast from.
+        """
+        x = np.atleast_2d(x)
+        if not np.isfinite(x).all():
+            raise DataError("query rows contain NaN or infinite values")
+        return self.transform(x)

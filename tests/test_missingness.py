@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvmi import GroundTruth, MissingSpec, inject_missing, missing_fraction
-from pvmi.missingness import MODE_EXPLICIT, MODE_FRACTION
+from pvmi.missingness import MODE_EXPLICIT, MODE_FRACTION, _place_random_blocks
 from tests.conftest import make_series
 
 
@@ -165,3 +167,38 @@ def test_missing_fraction():
     p = np.arange(10, dtype=float)
     p[:4] = np.nan
     assert missing_fraction(make_series(p)) == 0.4
+
+
+def convolve_placement(mask, spec):
+    """The block placement with every window count from ``np.convolve``."""
+    needed = int(round(spec.target_fraction * len(mask))) - int(mask.sum())
+    rng = np.random.default_rng(spec.seed)
+    taken, chosen = mask.copy(), []
+    while needed > 0:
+        length = min(spec.block_len_hours, needed)
+        window = np.convolve((~taken).astype(int), np.ones(length, dtype=int), mode="valid")
+        starts = np.flatnonzero(window == length)
+        if starts.size == 0:
+            raise ValueError("no room")
+        start = int(starts[rng.integers(starts.size)])
+        taken[start:start + length] = True
+        chosen.extend(range(start, start + length))
+        needed -= length
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(1, 400), density=st.floats(0.0, 0.6), fraction=st.floats(0.0, 0.95),
+       block=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_fraction_placement_equals_the_convolve_oracle(t, density, fraction, block, seed):
+    # running-sum window counts give the same admissible starts, so the same
+    # draws place the same blocks, and an unreachable target fails alike
+    mask = np.random.default_rng(seed).random(t) < density
+    spec = MissingSpec(MODE_FRACTION, target_fraction=fraction, block_len_hours=block, seed=seed)
+    try:
+        expected = convolve_placement(mask, spec)
+    except ValueError:
+        with pytest.raises(ValueError, match="cannot reach the target fraction"):
+            _place_random_blocks(mask, spec)
+    else:
+        assert _place_random_blocks(mask, spec) == expected

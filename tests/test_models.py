@@ -250,6 +250,57 @@ def test_knn_equals_the_float64_oracle_on_pv_windows(pv_windows, monkeypatch, k)
     assert_knn_matches_the_oracle(KNNRegressor.fit(x[:300], y[:300], k=k), x[:300], y[:300], x)
 
 
+def ring_rows(rng, n, noise):
+    """``n`` rows near a ring in a random plane of 48-D space: 24 angles, as
+    hourly PV windows have, radii 1-3, and ``noise`` in every direction."""
+    basis = np.linalg.qr(rng.normal(size=(48, 2)))[0].T
+    theta = 2 * np.pi * rng.integers(0, 24, n) / 24 + 0.05 * rng.normal(size=n)
+    r = rng.uniform(1.0, 3.0, n)
+    ring = (r * np.cos(theta))[:, None] * basis[0] + (r * np.sin(theta))[:, None] * basis[1]
+    return ring + noise * rng.normal(size=(n, 48)), basis
+
+
+@st.composite
+def ring_cases(draw):
+    """Ring rows in +- pairs, so that their mean is 0 and the ring's plane is
+    the model's, with exact duplicates; a query on the ring at radius 2 with
+    two training rows at the feet of the rays arcsin(d / 2) either side of
+    it, both at distance d: a tie at the edge of its window when they are
+    its nearest. Queries, k and a chunk budget as in ``knn_cases``, and a
+    chunk cost of 1, which keeps chunks narrow on records this short."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = draw(st.integers(2, 150))
+    rows, basis = ring_rows(rng, half, draw(st.sampled_from([0.0, 1e-3, 0.03])))
+    if draw(st.booleans()):
+        rows[rng.integers(0, half, size=3)] = rows[rng.integers(0, half, size=3)]
+    theta, phi = rng.uniform(-np.pi, np.pi), draw(st.floats(1e-3, 1.2))
+    for i, side in zip(rng.choice(half, size=2, replace=False), (-1, 1)):
+        angle = theta + side * phi
+        rows[i] = 2.0 * np.cos(phi) * (np.cos(angle) * basis[0] + np.sin(angle) * basis[1])
+    x = np.empty((2 * half, 48))
+    x[0::2], x[1::2] = rows, -rows
+    n = len(x)
+    query = 2.0 * (np.cos(theta) * basis[0] + np.sin(theta) * basis[1])
+    near = x[rng.integers(0, n, 5)] + 1e-3 * rng.normal(size=(5, 48))
+    queries = np.vstack([query, near, x[rng.integers(0, n, 3)]])
+    k = draw(st.one_of(st.just(1), st.just(2), st.just(n - 1), st.integers(1, n)))
+    budget = draw(st.sampled_from([4 * n, 4 * n * 7, knn._CHUNK_BYTES]))
+    cost = draw(st.sampled_from([1, knn._CHUNK_COST]))
+    return x, rng.normal(size=n), queries, k, budget, cost
+
+
+@pytest.mark.threaded_blas
+@settings(max_examples=300, deadline=None)
+@given(case=ring_cases())
+def test_knn_window_equals_the_float64_oracle_on_ring_rows(case):
+    # the angular window must never drop a neighbour: with duplicates, ties
+    # at its edge and leave-one-out, in chunks of one row, seven, the default
+    x, y, queries, k, budget, cost = case
+    with mock.patch.multiple(knn, _CHUNK_BYTES=budget, _CHUNK_COST=cost):
+        model = KNNRegressor(FeatureScaler(np.zeros(48), np.ones(48)), x, y, k)
+        assert_knn_matches_the_oracle(model, x, y, queries)
+
+
 def test_knn_invariant_to_feature_rescaling(rng):
     train_x = rng.normal(size=(40, 6))
     train_y = rng.normal(size=40)
@@ -377,10 +428,66 @@ def test_knn_peak_memory_stays_flat(rng):
     assert peak < 16 * 2**20
 
 
+def test_knn_peak_memory_stays_flat_on_ring_data(rng):
+    # windows narrow enough for chunks of hundreds of query rows
+    x, _ = ring_rows(rng, 6600, 0.01)
+    model = KNNRegressor.fit(x, rng.normal(size=6600), k=8)
+    tracemalloc.start()
+    try:
+        model.loo_residual_variance()
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_knn_search_reads_a_fraction_of_the_columns_on_pv_windows(pv_windows, monkeypatch):
+    # a full scan reads every column once; thresholds and windows read under
+    # 30% here. Chunks are priced by their width alone: at the default fixed
+    # cost per chunk, a record this short is cheapest read whole.
+    x, y = pv_windows
+    model = KNNRegressor.fit(x, y, k=4)
+    monkeypatch.setattr(knn, "_CHUNK_COST", 1)
+    read = []
+    products = KNNRegressor._products
+
+    def counted(self, *args):
+        f, first = products(self, *args)
+        read.append(f.size)
+        return f, first
+
+    monkeypatch.setattr(KNNRegressor, "_products", counted)
+    model.loo_residual_variance()
+    assert sum(read) <= 0.3 * len(x) ** 2
+    read.clear()
+    model.predict(x)
+    assert sum(read) <= 0.3 * len(x) ** 2
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_knn_predict_rejects_a_non_finite_query_entry(rng, bad):
     data = make_dataset(rng, 50)
     model = KNNRegressor.fit(data.inputs, data.targets, k=3)
+    queries = rng.normal(size=(4, 48))
+    queries[2, 17] = bad
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.predict(queries)
+    with pytest.raises(DataError, match="NaN or infinite"):
+        model.predict(queries[2])  # a single row
+    assert np.isfinite(model.predict(queries[[0, 1, 3]])).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fit_model", [
+    lambda x, y: LassoRegressor.fit(x, y, lam=0.1),
+    lambda x, y: MLPRegressor.fit(x, y, hidden=(4, 3), iterations=5),
+], ids=["lasso", "mlp"])
+def test_linear_and_mlp_predict_reject_a_non_finite_query_entry(rng, fit_model, bad):
+    # a NaN would come back as a NaN forecast, and +inf through inf * 0 on a
+    # zero lasso coefficient
+    data = make_dataset(rng, 50)
+    model = fit_model(data.inputs, data.targets)
     queries = rng.normal(size=(4, 48))
     queries[2, 17] = bad
     with pytest.raises(DataError, match="NaN or infinite"):
