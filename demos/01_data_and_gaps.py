@@ -49,7 +49,7 @@ def main():
         mode="target-fraction", target_fraction=0.25, block_len_hours=48, seed=7
     )
     degraded, truth = inject_missing(train, gaps)
-    print(f"injected {len(truth.values)} missing hours "
+    print(f"injected {truth.index.size} missing hours "
           f"({missing_fraction(degraded):.1%}) in 48 h blocks")
     print("same two weeks after injection ('!' = gap):")
     print(" ", sparkline(degraded.power[: 24 * 14]))

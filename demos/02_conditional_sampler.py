@@ -11,12 +11,12 @@ Run:  python3 demos/02_conditional_sampler.py
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 from pvmi import SynthSpec, generate
 from pvmi.imputation import fit_sampler, neighbors
-from pvmi.intervals import normal_cdf
 from pvmi.series import HourlySeries
 
 
@@ -52,7 +52,7 @@ def main():
     mean = spec.efficiency * query
 
     def true_cdf(x):
-        return 0.0 if x < 0 else normal_cdf((x / mean - 1.0) / spec.noise_scale)
+        return 0.0 if x < 0 else NormalDist().cdf((x / mean - 1.0) / spec.noise_scale)
 
     for n in (200, 800, 3200):
         sub = HourlySeries(series.start, series.power[:n].copy(),

@@ -3,8 +3,9 @@
 Run:  python3 demos/03_forecasters.py
 """
 
-from pvmi import SynthSpec, generate, nrmse, split_chronological
+from pvmi import SynthSpec, generate, split_chronological
 from pvmi.features import build_training
+from pvmi.metrics import score, target_truths
 from pvmi.models import (
     RegressorSpec,
     default_knn_grid,
@@ -41,7 +42,8 @@ def main():
         rv = (model.loo_residual_variance() if name == "knn"
               else residual_variance(model, train_ds))
         preds = model.predict(test_ds.inputs)
-        err = nrmse(list(preds), test)
+        # point forecasts only: score them as zero-width intervals for the NRMSE
+        err = score(preds, preds, preds, target_truths(test, preds.size), 0.05).nrmse
         hp = {k: (round(v, 5) if isinstance(v, float) else v)
               for k, v in spec.hyperparameters.items()}
         print(f"{name:8s} {str(hp):38s} {rv:10.4f} {err:7.4f}")

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .features import WINDOW_HOURS, SupervisedDataset, build_training
 from .imputation import ConditionalSampler, complete_series, fit_sampler
-from .intervals import PredictionInterval, gamma_interval, normal_cdf, normal_interval
+from .intervals import PredictionInterval, gamma_interval, normal_interval
 from .metrics import EvalReport, coverage, evaluate, nrmse
 from .missingness import GroundTruth, MissingSpec, inject_missing, missing_fraction
 from .models import RegressorSpec, fit, residual_variance, tune_chronological
@@ -67,7 +67,6 @@ __all__ = [
     "generate",
     "inject_missing",
     "missing_fraction",
-    "normal_cdf",
     "normal_interval",
     "nrmse",
     "parse_csv",

@@ -97,10 +97,9 @@ def _cmd_inject(args) -> int:
     masked, truth = inject_missing(series, spec)
     write_csv(masked, args.out)
     if args.truth_out:
-        args.truth_out.write_text(
-            json.dumps({str(k): v for k, v in sorted(truth.values.items())}, indent=2)
-        )
-    print(f"masked {len(truth.values)} of {len(series)} hours -> {args.out}")
+        removed = zip(map(str, truth.index.tolist()), truth.values.tolist())
+        args.truth_out.write_text(json.dumps(dict(removed), indent=2))
+    print(f"masked {truth.index.size} of {len(series)} hours -> {args.out}")
     return 0
 
 

@@ -279,7 +279,6 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     out = Path(output_dir) if output_dir is not None else Path(config.output_dir)
     full = _load_data(config)
     train, test = split_chronological(full, config.test_len)
-    (out / "cells").mkdir(parents=True, exist_ok=True)
     truth_restored = test  # the test series before any injected gap
     if config.train_missing is not None:
         train, _ = inject_missing(train, config.train_missing)
@@ -290,6 +289,8 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
     completions = Completions(train, test, sampler)
     resolved_specs = _resolve_models(config, completions)
     pipelines = [Pipeline(completions, spec) for spec in resolved_specs]
+    # only now: a run that fails to inject, fit the sampler or tune writes nothing
+    (out / "cells").mkdir(parents=True, exist_ok=True)
 
     hour_fields = _hour_fields(test, truth_restored)
 

@@ -6,23 +6,25 @@ gamma distribution (shape = mean^2/variance, scale = variance/mean). The
 gamma family respects the non-negativity of PV power; when the predictive
 mean is non-positive the gamma interval degenerates to [0, 0].
 
-The normal CDF and quantile come from the standard library's
-``statistics.NormalDist`` (the quantile is Wichura's AS 241). The gamma
+The normal quantile comes from the standard library's
+``statistics.NormalDist`` (Wichura's AS 241). The gamma
 quantile is implemented here: it inverts the regularized lower incomplete
 gamma function (power series below a+1, continued fraction above) by
 Newton's method on log x, safeguarded by bisection inside a bracket that two
 closed-form bounds give.
 
-Two layers share these algorithms. The scalar functions
-(:func:`normal_interval`, :func:`gamma_interval`, :func:`gamma_quantile`,
-:func:`regularized_gamma_p`) cut one hour's interval. The array kernels
-:func:`normal_bounds` and :func:`gamma_bounds` cut every hour of a cell in
-one call: they run the scalar algorithm elementwise, iterating the series,
-the continued fraction and the Newton steps only over the elements still
-active, and call the same libm ``exp``, ``log`` and ``lgamma`` through
-``math`` (numpy's SIMD ``exp``/``log`` round differently). Every other step
-is an IEEE-exact array operation, so each array bound equals the scalar
-function's bit for bit; the scalar functions are the kernels' test oracle.
+Two layers share these algorithms. The array kernels :func:`normal_bounds`
+and :func:`gamma_bounds` cut every hour of a cell in one call; the
+experiment grid, the acceptance criteria and the demos use them. They run
+the scalar algorithm elementwise, iterating the series, the continued
+fraction and the Newton steps only over the elements still active, and call
+the same libm ``exp``, ``log`` and ``lgamma`` through ``math`` (numpy's SIMD
+``exp``/``log`` round differently). Every other step is an IEEE-exact array
+operation, so each array bound equals the scalar function's bit for bit.
+The scalar functions (:func:`normal_interval`, :func:`gamma_interval`,
+:func:`gamma_quantile`, :func:`regularized_gamma_p`) cut one hour's
+interval; they serve only the README quick start and the benchmark's
+long-record workload, and are the kernels' test oracle.
 """
 
 from __future__ import annotations
@@ -34,14 +36,9 @@ from statistics import NormalDist
 import numpy as np
 
 # --------------------------------------------------------------------------
-# normal CDF / inverse CDF
+# normal quantile
 
 _NORMAL = NormalDist()
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the error function."""
-    return _NORMAL.cdf(x)
 
 
 def inverse_normal_cdf(p: float) -> float:
@@ -190,12 +187,6 @@ class PredictionInterval:
         if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
-
 
 def normal_interval(mean: float, variance: float, alpha: float) -> PredictionInterval:
     """Central normal interval ``mean +- z_{1-alpha/2} * sqrt(variance)``."""
@@ -220,18 +211,11 @@ def gamma_interval(mean: float, variance: float, alpha: float) -> PredictionInte
         raise ValueError(f"variance must be non-negative, got {variance}")
     if variance == 0.0:
         return PredictionInterval(mean, mean)
-    shape, scale = gamma_shape_scale(mean, variance)
+    shape, scale = mean * mean / variance, variance / mean  # moment matching
     return PredictionInterval(
         gamma_quantile(alpha / 2.0, shape, scale),
         gamma_quantile(1.0 - alpha / 2.0, shape, scale),
     )
-
-
-def gamma_shape_scale(mean: float, variance: float) -> tuple[float, float]:
-    """Moment matching: shape = mean^2/variance, scale = variance/mean."""
-    if mean <= 0.0 or variance <= 0.0:
-        raise ValueError("moment matching needs positive mean and variance")
-    return mean * mean / variance, variance / mean
 
 
 def _check_alpha(alpha: float) -> None:
@@ -278,7 +262,7 @@ def gamma_bounds(mean: np.ndarray, variance: np.ndarray, alpha: float
     cut = positive & (variance != 0.0)
     m, v = mean[cut], variance[cut]
     with np.errstate(over="ignore"):  # an infinite shape is rejected below
-        shape, scale = m * m / v, v / m  # gamma_shape_scale
+        shape, scale = m * m / v, v / m  # as in gamma_interval
     n = shape.size
     q = _gamma_quantiles(np.repeat([alpha / 2.0, 1.0 - alpha / 2.0], n),
                          np.tile(shape, 2), np.tile(scale, 2))

@@ -10,10 +10,11 @@ closed interval. NRMSE is the root mean squared error of the pooled means
 over the scored hours, divided by the largest observed true power.
 
 :func:`score` scores a cell's bound and mean arrays in one pass; the
-experiment runner and its CSV re-aggregation both use it. :func:`coverage`,
-:func:`nrmse` and :func:`evaluate` take per-hour lists of
-:class:`PredictionInterval` and means, and are thin adapters over the same
-code.
+experiment runner, its CSV re-aggregation, the acceptance criteria and the
+demos use it. :func:`coverage`, :func:`nrmse` and :func:`evaluate` take
+per-hour lists of :class:`PredictionInterval` and means, and are thin
+adapters over the same code; they serve only the README quick start and the
+benchmark's long-record workload.
 """
 
 from __future__ import annotations

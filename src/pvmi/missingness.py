@@ -7,13 +7,13 @@ target missing fraction that is met by placing fixed-length blocks at
 uniformly random admissible positions (the final block is trimmed so the
 fraction is hit as closely as the grid allows).
 
-Injection always returns the removed values keyed by hour index, so a
-simulation can later be scored against the exact ground truth.
+Injection always returns the removed hours and their values as two arrays,
+so a simulation can later be scored against the exact ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,17 +69,19 @@ def _block(name: str, block) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The values removed by an injection, keyed by hour index."""
+    """The values removed by an injection: ``values[i]`` is the power that
+    hour ``index[i]`` held, in ascending order of hour."""
 
-    values: dict[int, float] = field(default_factory=dict)
+    index: np.ndarray
+    values: np.ndarray
 
     def restore(self, series: HourlySeries) -> HourlySeries:
         """Undo the injection: put every stored value back."""
+        observed = self.index[~series.mask[self.index]]
+        if observed.size:
+            raise ValueError(f"hour {observed[0]} is not missing in the given series")
         power = series.power.copy()
-        for idx, value in self.values.items():
-            if not series.mask[idx]:
-                raise ValueError(f"hour {idx} is not missing in the given series")
-            power[idx] = value
+        power[self.index] = self.values
         return HourlySeries(series.start, power, series.irradiance)
 
 
@@ -93,7 +95,6 @@ def inject_missing(series: HourlySeries, spec: MissingSpec) -> tuple[HourlySerie
     """
     t = len(series)
     if spec.mode == MODE_EXPLICIT:
-        chosen: list[int] = []
         taken = series.mask.copy()
         for start, length in spec.blocks:
             if length <= 0:
@@ -106,14 +107,13 @@ def inject_missing(series: HourlySeries, spec: MissingSpec) -> tuple[HourlySerie
                     "already-missing hour"
                 )
             taken[start : start + length] = True
-            chosen.extend(range(start, start + length))
+        index = np.flatnonzero(taken & ~series.mask)
     else:
-        chosen = _place_random_blocks(series.mask, spec)
-
+        index = np.sort(np.array(_place_random_blocks(series.mask, spec), dtype=np.intp))
     power = series.power.copy()
-    truth = {int(i): float(power[i]) for i in chosen}
-    power[chosen] = np.nan
-    return HourlySeries(series.start, power, series.irradiance), GroundTruth(truth)
+    truth = GroundTruth(index, power[index])
+    power[index] = np.nan
+    return HourlySeries(series.start, power, series.irradiance), truth
 
 
 def missing_fraction(series: HourlySeries) -> float:

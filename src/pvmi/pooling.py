@@ -24,6 +24,9 @@ zero), an hour pooled alone equals the same hour inside a cell, and the
 between variance is exactly 0 at B = 1 and wherever the rounds agree, whose
 mean is then their common value (the sum of B equal doubles divided by B can
 miss it by an ulp): a gap-free row keeps ``between_var == 0.0``.
+
+:meth:`PooledPrediction.hours` gives ``run_pipeline``'s per-hour list, which
+serves only the README quick start and the benchmark's long-record workload.
 """
 
 from __future__ import annotations

@@ -2,12 +2,16 @@
 
 Each test prints a single ``ACCEPTANCE n ...: PASS/FAIL`` verdict (echoed in
 the terminal summary) and then asserts it, so a red criterion is visible and
-honest rather than silently skipped.
+honest rather than silently skipped. The criteria pool, cut and score through
+the array calls that the experiment grid runs: ``Pipeline.pool``,
+``normal_bounds``/``gamma_bounds`` and ``metrics.score``.
 """
 
+import itertools
 import json
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -17,21 +21,22 @@ from pvmi import (
     MissingSpec,
     RegressorSpec,
     SynthSpec,
-    coverage,
-    gamma_interval,
     generate,
     inject_missing,
-    normal_cdf,
-    normal_interval,
-    nrmse,
     rubin_pool,
-    run_pipeline,
     split_chronological,
 )
 from pvmi.cli import main as cli_main
 from pvmi.features import build_training
 from pvmi.imputation import fit_sampler, neighbors
-from pvmi.intervals import gamma_quantile, inverse_normal_cdf, regularized_gamma_p
+from pvmi.intervals import (
+    _gamma_quantiles,
+    _regularized_gamma_p,
+    gamma_bounds,
+    inverse_normal_cdf,
+    normal_bounds,
+)
+from pvmi.metrics import score, target_truths
 from pvmi.models import LassoRegressor, default_knn_grid, tune_chronological
 from pvmi.models.mlp import init_params, loss_and_grads
 from pvmi.pipeline import Completions, Pipeline
@@ -40,6 +45,7 @@ from pvmi.series import HourlySeries
 from conftest import ACCEPTANCE_LINES
 
 ALPHA = 0.05
+MOMENTS = ("mean", "within_var", "between_var", "total_var")
 
 
 def report(number: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -49,6 +55,13 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> bool:
     ACCEPTANCE_LINES.append(line)
     print(line)
     return ok
+
+
+def _score(pooled, bounds, test):
+    """The metrics of one pooling's intervals, cut by ``bounds`` (an array
+    kernel of ``pvmi.intervals``), on the observed hours of ``test``."""
+    lower, upper = bounds(pooled.mean, pooled.total_var, ALPHA)
+    return score(lower, upper, pooled.mean, target_truths(test, pooled.mean.size), ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +79,19 @@ def test_criterion_1_pooling_identities():
         means = rng.normal(scale=4.0, size=b)
         variances = rng.uniform(0.0, 3.0, size=b)
         # one hour's B rounds, as a (B, 1) stack
-        (pooled,) = rubin_pool(means[:, None], variances).hours()
+        pooled = rubin_pool(means[:, None], variances)
 
         within = float(np.mean(variances))
         between = float(np.var(means, ddof=1)) if b > 1 else 0.0
         total = within + (1.0 + 1.0 / b) * between
-        worst_rel = max(worst_rel, abs(pooled.total_var - total) / abs(total))
-        if b == 1 and pooled.between_var != 0.0:
+        worst_rel = max(worst_rel, abs(pooled.total_var[0] - total) / abs(total))
+        if b == 1 and pooled.between_var[0] != 0.0:
             b1_exact = False
 
         order = list(range(b))
         rng.shuffle(order)
-        if rubin_pool(means[order, None], variances[order]).hours() != [pooled]:
+        shuffled = rubin_pool(means[order, None], variances[order])
+        if not all(np.array_equal(getattr(shuffled, m), getattr(pooled, m)) for m in MOMENTS):
             permutation_exact = False
     elapsed = time.perf_counter() - t0
 
@@ -105,17 +119,18 @@ def test_criterion_2_calibration_without_missingness():
     grid = default_knn_grid(max(1, len(train_ds) // (folds + 1)))
     spec = tune_chronological("knn", train_ds, grid, folds=folds)
 
-    pooled = run_pipeline(train, test, spec, setup=1)
-    bands = [normal_interval(p.mean, p.total_var, ALPHA) for p in pooled]
-    cov = coverage(bands, test)
+    completions = Completions(train, test, fit_sampler(train))
+    pooled = Pipeline(completions, spec).pool(setup=1, n_rounds=1, seed=0)
+    cov = _score(pooled, normal_bounds, test).coverage
+    hours = pooled.mean.size
     elapsed = time.perf_counter() - t0
 
-    ok = 0.92 <= cov <= 0.97 and len(pooled) >= 1500 and elapsed < 120.0
+    ok = 0.92 <= cov <= 0.97 and hours >= 1500 and elapsed < 120.0
     assert report(
         2,
         "normal-interval calibration, complete data",
         ok,
-        f"coverage {cov:.4f} over {len(pooled)} hours, tuned {spec.hyperparameters}, "
+        f"coverage {cov:.4f} over {hours} hours, tuned {spec.hyperparameters}, "
         f"target [0.92, 0.97], {elapsed:.1f}s",
     ), (
         f"coverage {cov:.4f} outside [0.92, 0.97]: the leave-one-out kNN residual "
@@ -154,23 +169,19 @@ def directional_grid():
             MissingSpec(mode="target-fraction", target_fraction=0.30,
                         block_len_hours=24, seed=seed + 2),
         )
-        # run_pipeline's stages, built once per seed: one sampler and
-        # completions, and one pipeline per family whose B = 10 scenarios
-        # extend the round stacks of its B = 5 scenarios
+        # one sampler and completions per seed, and one pipeline per family
+        # whose B = 10 scenarios extend the round stacks of its B = 5 scenarios
         completions = Completions(train, test, fit_sampler(train))
         for family, spec in FAMILY_SPECS.items():
             pipeline = Pipeline(completions, spec)
             row = {}
             for label, setup, b in SCENARIOS:
-                pooled = pipeline.pool(setup, b, seed).hours()
-                normal_bands = [normal_interval(p.mean, p.total_var, ALPHA)
-                                for p in pooled]
-                gamma_bands = [gamma_interval(p.mean, max(p.total_var, 0.0), ALPHA)
-                               for p in pooled]
+                pooled = pipeline.pool(setup, b, seed)
+                normal = _score(pooled, normal_bounds, test)
                 row[label] = {
-                    "normal": coverage(normal_bands, test),
-                    "gamma": coverage(gamma_bands, test),
-                    "nrmse": nrmse([p.mean for p in pooled], test),
+                    "normal": normal.coverage,
+                    "gamma": _score(pooled, gamma_bounds, test).coverage,
+                    "nrmse": normal.nrmse,
                 }
             results[(family, seed)] = row
     return {"results": results, "elapsed": time.perf_counter() - t0}
@@ -254,7 +265,7 @@ def test_criterion_7_sampler_ks_shrinks_with_data():
     def true_cdf(x: float) -> float:
         if x < 0.0:
             return 0.0
-        return normal_cdf((x / conditional_mean - 1.0) / spec.noise_scale)
+        return NormalDist().cdf((x / conditional_mean - 1.0) / spec.noise_scale)
 
     stats = []
     for n in (200, 800, 3200):
@@ -299,14 +310,12 @@ def test_criterion_8_numeric_kernels():
         want = optimize.brentq(lambda x: cdf_by_quadrature(x) - p, -10, 10, xtol=1e-12)
         quantile_err = max(quantile_err, abs(inverse_normal_cdf(p) - want))
 
-    round_trip_err = 0.0
-    for shape in (0.5, 1.0, 3.7, 57.0, 400.0):
-        for scale in (0.2, 1.0, 11.0):
-            for p in (1e-4, 0.025, 0.5, 0.975, 1 - 1e-4):
-                x = gamma_quantile(p, shape, scale)
-                round_trip_err = max(
-                    round_trip_err, abs(regularized_gamma_p(shape, x / scale) - p)
-                )
+    # the 75 (shape, scale, p) triples through the kernels that gamma_bounds runs
+    shape, scale, p = map(np.array, zip(*itertools.product(
+        (0.5, 1.0, 3.7, 57.0, 400.0), (0.2, 1.0, 11.0), (1e-4, 0.025, 0.5, 0.975, 1 - 1e-4))))
+    x = _gamma_quantiles(p, shape, scale)
+    lgamma = np.array([math.lgamma(a) for a in shape.tolist()])
+    round_trip_err = float(np.max(np.abs(_regularized_gamma_p(shape, x / scale, lgamma) - p)))
 
     rng = np.random.default_rng(77)
     params = init_params(seed=3, n_in=6, hidden=(5, 4))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pvmi import (
     ExperimentError,
     HourlySeries,
+    InsufficientDataError,
     MissingSpec,
     RegressorSpec,
     SynthSpec,
@@ -47,6 +48,7 @@ from pvmi.experiment import (
 from pvmi.features import WINDOW_HOURS
 from pvmi.intervals import INTERVAL_FAMILIES
 from pvmi.pipeline import Completions, Pipeline
+from tests.conftest import make_series
 
 KNN2 = ModelConfig("knn", {"k": 2})
 
@@ -604,6 +606,16 @@ def test_a_run_whose_split_fails_leaves_no_output(tmp_path):
     with pytest.raises(ValueError, match="test_len must satisfy 24 < test_len < 192"):
         run(small_config(test_len=500), out)
     assert not out.exists()
+    # nor does one whose gap injection or tuning fails (the training half
+    # has 120 hours and 96 rows)
+    with pytest.raises(ValueError, match="exceeds series bounds"):
+        run(small_config(train_missing=MissingSpec("explicit-blocks", blocks=((100, 50),))),
+            out)
+    assert not out.exists()
+    with pytest.raises(InsufficientDataError, match="1000 expanding-window folds"):
+        run(small_config(model_configs=(
+            ModelConfig("knn", grid=({"k": 1}, {"k": 2}), folds=1000),)), out)
+    assert not out.exists()
 
 
 def test_summary_and_manifest_are_both_serialised_before_either_is_written(
@@ -873,6 +885,18 @@ def test_cli_inject_then_impute_round_trip(tmp_path, capsys):
     # observed hours pass through untouched
     keep = ~masked.mask
     assert np.array_equal(completed.power[keep], masked.power[keep])
+
+
+def test_cli_inject_truth_out_bytes(tmp_path):
+    # the removed hours in ascending order, whatever the order of the blocks
+    data = tmp_path / "data.csv"
+    write_csv(make_series(np.arange(30) / 4.0), data)
+    gaps = write_json(tmp_path / "gaps.json",
+                      {"mode": "explicit-blocks", "blocks": [[10, 1], [2, 2]]})
+    truth_json = tmp_path / "truth.json"
+    assert main(["inject", str(data), "--config", str(gaps), "--out",
+                 str(tmp_path / "masked.csv"), "--truth-out", str(truth_json)]) == 0
+    assert truth_json.read_bytes() == b'{\n  "2": 0.5,\n  "3": 0.75,\n  "10": 2.5\n}'
 
 
 def test_cli_impute_rejects_unknown_keys(tmp_path):

@@ -160,7 +160,7 @@ def test_score_of_arrays_matches_the_per_hour_adapters(rng):
     assert report.coverage == coverage(bands, truths)
     assert report.nrmse == nrmse(list(means), truths)
     assert report.n_evaluated == 13
-    assert report.mean_width == float(np.mean([b.width() for b in bands]))  # all 16 hours
+    assert report.mean_width == float(np.mean([b.upper - b.lower for b in bands]))  # all 16 h
 
 
 def test_score_needs_one_entry_per_prediction():

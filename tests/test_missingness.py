@@ -28,7 +28,8 @@ def test_explicit_blocks():
     masked, truth = inject_missing(s, spec)
     assert masked.mask.sum() == 5
     assert _runs(masked.mask) == [(5, 3), (20, 2)]
-    assert truth.values == {5: 5.0, 6: 6.0, 7: 7.0, 20: 20.0, 21: 21.0}
+    assert truth.index.tolist() == [5, 6, 7, 20, 21]
+    assert truth.values.tolist() == [5.0, 6.0, 7.0, 20.0, 21.0]
     # input series untouched
     assert s.n_missing() == 0
 
@@ -43,9 +44,11 @@ def test_explicit_restore_round_trip():
 
 
 def test_restore_rejects_observed_hour():
-    s = make_series(np.arange(10, dtype=float))
-    with pytest.raises(ValueError, match="not missing"):
-        GroundTruth({3: 3.0}).restore(s)
+    p = np.arange(10, dtype=float)
+    p[[2, 5]] = np.nan
+    truth = GroundTruth(np.array([2, 3, 5, 7]), np.array([2.0, 3.0, 5.0, 7.0]))
+    with pytest.raises(ValueError, match="^hour 3 is not missing"):  # the first one
+        truth.restore(make_series(p))
 
 
 def test_explicit_validation():
@@ -112,7 +115,7 @@ def test_fraction_respects_existing_missing():
     masked, truth = inject_missing(s, spec)
     assert masked.mask.sum() == 60
     assert len(truth.values) == 40  # only newly removed hours are recorded
-    assert all(i >= 20 for i in truth.values)
+    assert truth.index.min() >= 20
 
 
 def test_fraction_zero_and_already_satisfied():
@@ -121,7 +124,7 @@ def test_fraction_zero_and_already_satisfied():
     s = make_series(p)
     masked, truth = inject_missing(
         s, MissingSpec(MODE_FRACTION, target_fraction=0.2, block_len_hours=5))
-    assert truth.values == {}
+    assert truth.index.size == truth.values.size == 0
     assert np.array_equal(masked.mask, s.mask)
 
 
@@ -202,3 +205,32 @@ def test_fraction_placement_equals_the_convolve_oracle(t, density, fraction, blo
             _place_random_blocks(mask, spec)
     else:
         assert _place_random_blocks(mask, spec) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(1, 300), density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0.0, 0.9), block=st.integers(1, 40),
+       explicit=st.lists(st.tuples(st.integers(0, 299), st.integers(1, 30)), max_size=6))
+def test_restore_undoes_an_injection_bit_for_bit(t, density, seed, fraction, block, explicit):
+    # signed zeros and subnormals as well as ordinary powers, in both modes
+    rng = np.random.default_rng(seed)
+    power = rng.choice([0.0, -0.0, 5e-324, 1.0 / 3.0, 7.25], size=t) * rng.uniform(0, 2, t)
+    power[rng.random(t) < density] = np.nan
+    s = make_series(power)
+    taken, blocks = s.mask.copy(), []
+    for start, length in explicit:  # the admissible ones, in the drawn order
+        if start + length <= t and not taken[start:start + length].any():
+            taken[start:start + length] = True
+            blocks.append((start, length))
+    specs = [MissingSpec(MODE_FRACTION, target_fraction=fraction, block_len_hours=block,
+                         seed=seed),
+             MissingSpec(MODE_EXPLICIT, blocks=tuple(blocks))]
+    for spec in specs:
+        try:
+            masked, truth = inject_missing(s, spec)
+        except ValueError:
+            assert spec.mode == MODE_FRACTION  # an unreachable fraction
+            continue
+        assert not s.mask[truth.index].any()  # only newly removed hours are stored
+        assert truth.restore(masked).power.tobytes() == s.power.tobytes()
+        assert np.array_equal(masked.mask, s.mask | np.isin(np.arange(t), truth.index))

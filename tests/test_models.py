@@ -25,7 +25,7 @@ from pvmi.models import (
     residual_variance,
     tune_chronological,
 )
-from pvmi.models import knn
+from pvmi.models import knn, scaling
 from pvmi.models.mlp import init_params, loss_and_grads
 
 
@@ -66,6 +66,38 @@ def test_scaler_maps_an_inexact_constant_to_exact_zeros(rng, value, n):
     scaler = FeatureScaler.fit(x)
     assert scaler.std[0] == 1.0
     assert np.all(scaler.transform(x)[:, 0] == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.sampled_from([1, 2, 5, 48, 49]), rows=st.integers(1, 400),
+       seed=st.integers(0, 2**32 - 1), constant=st.sets(st.integers(0, 48)),
+       offset=st.sampled_from([0.0, 0.1, 1e3]), contiguous=st.booleans())
+def test_scaler_std_in_column_blocks_equals_one_std(width, rows, seed, constant, offset,
+                                                    contiguous):
+    # numpy's column sums, so the bits, whatever the width and the constant
+    # columns, on contiguous inputs (as the windowed datasets are) and views
+    rng = np.random.default_rng(seed)
+    x = rng.normal(offset, rng.uniform(1e-3, 1e3, width + 1), size=(rows, width + 1))[:, 1:]
+    if contiguous:
+        x = np.ascontiguousarray(x)
+    for j in constant & set(range(width)):
+        x[:, j] = offset + j / 7.0
+    assert scaling._column_std(x).tobytes() == x.std(axis=0).tobytes()
+    scaler = FeatureScaler.fit(x)
+    varying = np.ptp(x, axis=0) != 0
+    assert scaler.std[varying].tobytes() == x.std(axis=0)[varying].tobytes()
+    assert np.all(scaler.std[~varying] == 1.0)
+
+
+def test_scaler_fit_holds_one_block_of_columns_at_a_time(rng):
+    x = rng.normal(size=(6576, 48))
+    tracemalloc.start()
+    try:
+        FeatureScaler.fit(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
 
 
 # ------------------------------------------------------------------ spec
