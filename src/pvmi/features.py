@@ -27,7 +27,7 @@ WINDOW_HOURS = 24
 N_FEATURES = 2 * WINDOW_HOURS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupervisedDataset:
     """Aligned (inputs, targets) arrays, one row per window in time order.
 

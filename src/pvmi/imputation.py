@@ -42,7 +42,7 @@ from .series import HourlySeries
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalSampler:
     """Observed (irradiance, power) pairs sorted by irradiance, plus k.
 
@@ -80,7 +80,8 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
 
     The pairs are stably sorted by irradiance, so pairs of equal irradiance
     keep their time order, and a query's k nearest pairs are one run of that
-    order (see the module docstring).
+    order (see the module docstring). A pair outside its own (k + 1)-run
+    follows k + 1 pairs of equal irradiance, and its k-run is their first k.
 
     Parameters
     ----------
@@ -100,11 +101,7 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
     order = np.argsort(irr, kind="stable")
     irr, pw = irr[order], pw[order]
     if k is None:
-        if n < 3:
-            k = 1
-        else:
-            grid = [g for g in DEFAULT_K_GRID if g <= n - 1]
-            k = select_k(irr, pw, grid)
+        k = select_k(irr, pw, [g for g in DEFAULT_K_GRID if g <= n - 1])
     else:
         k = int(min(k, n))
         if k < 1:
@@ -132,8 +129,10 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     neighbours among the remaining pairs; the grid value with the smallest
     mean squared error wins, earlier grid entries winning ties. The pairs
     are stably sorted by irradiance first. The k nearest other pairs of pair
-    i are its (k + 1)-run without i when i lies in that run, and its k-run
-    otherwise; one cumulative sum of the sorted powers gives every run's sum.
+    i are its (k + 1)-run without i when i lies in that run, and otherwise
+    that run's first k, since k + 1 pairs of i's irradiance and lower
+    position fill it. One run search per k and one cumulative sum of the
+    sorted powers give every run's sum.
     """
     irr = np.asarray(irradiance, dtype=float)
     pw = np.asarray(power, dtype=float)
@@ -142,8 +141,8 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     irr, pw = irr[order], pw[order]
     n = irr.size
     grid = [int(g) for g in grid]
-    if n < 3:
-        raise ValueError("need at least 3 pairs for leave-one-out selection")
+    if n < 2:
+        raise ValueError("need at least 2 pairs for leave-one-out selection")
     if not grid:
         raise ValueError("candidate grid must not be empty")
     if any(g < 1 or g > n - 1 for g in grid):
@@ -154,10 +153,9 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     sse = {}
     for g in grid:
         wide = _run_starts(irr, irr, g + 1)
-        narrow = _run_starts(irr, irr, g)
         total = np.where((wide <= own) & (own <= wide + g),
                          csum[wide + g + 1] - csum[wide] - pw,
-                         csum[narrow + g] - csum[narrow])
+                         csum[wide + g] - csum[wide])
         sse[g] = float(np.sum((total / g - pw) ** 2))
 
     best = grid[0]

@@ -67,7 +67,7 @@ def _block(name: str, block) -> tuple[int, int]:
     return check(f"{name} start", start, int), check(f"{name} length", length, int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """The values removed by an injection: ``values[i]`` is the power that
     hour ``index[i]`` held, in ascending order of hour."""

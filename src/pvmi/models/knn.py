@@ -11,7 +11,11 @@ In-sample residuals understate a kNN forecaster's error: each training row
 is its own nearest neighbour at distance zero, so its residual shrinks to
 ``(k-1)/k`` of the one an unseen input would get. ``loo_residual_variance``
 gives the honest figure by leaving each training row out of its own
-neighbourhood.
+neighbourhood: row i's k nearest other rows, by (distance, index), are its
+k + 1 nearest without i. Its float64 distance to itself is exactly zero, so
+i is among them unless k + 1 rows of smaller index precede it, each at
+distance zero; then the first k of those are its k nearest others, and the
+last one is dropped instead.
 
 Predict, leave-one-out and kNN tuning share one search. At fit, the model
 takes the top two eigenvectors of the centred Gram matrix of its rows as
@@ -28,9 +32,7 @@ goes through four steps.
    record), ``tau`` is the k-th smallest of the row's minima over the ``c
    = max(128, 4k)`` residue classes of the range (every column if there
    are fewer); those minima sit at distinct columns, so k of the row's
-   values are at most ``tau``. A leave-one-out row's own column is set to
-   +inf first, so it is neither among the k nor kept against a finite
-   threshold.
+   values are at most ``tau``.
 2. An angular window. Every neighbour lies within squared distance ``U =
    tau + E`` of the query (``E`` below). For ``P`` with orthonormal rows,
    ``|q - x| >= |z_q - z_x|``, and the distance from ``z_q``, at radius
@@ -43,11 +45,10 @@ goes through four steps.
    Baskett & Shustek (1975, *IEEE Trans. Computers* C-24:1000).
 3. A float32 filter. In the window it keeps every column whose ``f`` is not
    above ``tau + 2E``, rounded up to float32.
-4. A float64 refine. The row's own index is dropped again in leave-one-out
-   (a threshold that is +inf or NaN keeps it). A row with exactly k kept
-   columns has them as its neighbours; for the others the exact float64
-   distance is computed for the kept columns only, and the k smallest by
-   (distance, index) are the neighbours.
+4. A float64 refine. A row with exactly k kept columns has them as its
+   neighbours; for the others the exact float64 distance is computed for
+   the kept columns only, and the k smallest by (distance, index) are the
+   neighbours.
 
 The filter loses no neighbour. Let ``d`` be the exact real distance, ``g``
 the float64 one and ``e`` a bound on ``|f - g|``. The k columns behind
@@ -152,7 +153,7 @@ class KNNRegressor:
         NaN or infinite entry raises ``DataError``."""
         q = self.scaler.transform_queries(x)
         out = np.empty(q.shape[0])
-        for rows, idx in self._nearest(q, loo=False):
+        for rows, idx in self._nearest(q, self.k):
             out[rows] = self._y[idx].mean(axis=1)
         return out
 
@@ -160,8 +161,8 @@ class KNNRegressor:
         """Mean squared leave-one-out residual over the training rows.
 
         Row ``i`` is forecast from the k nearest of the *other* training
-        rows: it is excluded by its index, so the result is exact even when
-        several rows share the same input.
+        rows, its k + 1 nearest less itself (see the module docstring), so
+        the result is exact even when several rows share the same input.
 
         Raises
         ------
@@ -175,8 +176,11 @@ class KNNRegressor:
                 f"leave-one-out needs k < {n} training rows, got k={self.k}"
             )
         resid = np.empty(n)
-        for rows, idx in self._nearest(self._x, loo=True):
-            resid[rows] = self._y[idx].mean(axis=1) - self._y[rows]
+        for rows, idx in self._nearest(self._x, self.k + 1):
+            own = idx == rows[:, None]
+            own[~own.any(axis=1), -1] = True  # k + 1 duplicates precede the row
+            others = idx[~own].reshape(-1, self.k)
+            resid[rows] = self._y[others].mean(axis=1) - self._y[rows]
         return float(np.mean(resid ** 2))
 
     def _project(self, v: np.ndarray, v_sq: np.ndarray):
@@ -188,41 +192,36 @@ class KNNRegressor:
             return (np.arctan2(z1, z0), np.hypot(z0, z1),
                     np.sqrt(v_sq) + math.sqrt((self._mean ** 2).sum()))
 
-    def _nearest(self, q: np.ndarray, loo: bool):
+    def _nearest(self, q: np.ndarray, k: int):
         """Yield ``(rows, idx)``: the k nearest training rows of standardized
-        query rows ``q[rows]``, as ascending row indices. Under ``loo`` the
-        queries are the training rows, each without its own."""
+        query rows ``q[rows]``, as ascending row indices."""
         m, n = q.shape[0], self._x.shape[0]
         theta, rho, radius = self._project(q, _squared_norms(q))
-        perm = self._order if loo else np.argsort(theta, kind="stable")
+        perm = np.argsort(theta, kind="stable")
         theta, rho, radius = theta[perm], rho[perm], radius[perm]
         buf = np.empty(max(_CHUNK_BYTES // 4, n), dtype=np.float32)
-        thr, lo, hi = self._thresholds(q, perm, theta, rho, radius, buf, loo)
+        thr, lo, hi = self._thresholds(q, k, perm, theta, rho, radius, buf)
         keep = np.empty(buf.size, dtype=bool)
         i = 0
         while i < m:
             j = _chunk_end(lo, hi, i, n)
             chunk = q[perm[i:j]]
-            f, a = self._products(_augmented(chunk)[0], int(lo[i:j].min()), int(hi[i:j].max()),
-                                  buf, np.arange(i, j) if loo else None)
+            f, a = self._products(_augmented(chunk)[0], int(lo[i:j].min()), int(hi[i:j].max()), buf)
             kept = keep[:f.size].reshape(f.shape)
             np.greater(f, thr[i:j, None], out=kept)
             np.logical_not(kept, out=kept)
             row, col = np.divmod(np.flatnonzero(kept), f.shape[1])
             col += a
             col[col >= n] -= n
-            if loo:
-                other = col != row + i
-                row, col = row[other], col[other]
-            yield perm[i:j], self._refine(chunk, row, col)
+            yield perm[i:j], self._refine(chunk, k, row, col)
             i = j
 
-    def _thresholds(self, q, perm, theta, rho, radius, buf, loo):
-        """Steps 1 and 2 for the query rows ``q[perm]``, of angles ``theta``:
-        the filter threshold ``tau + 2E``, rounded up to float32, and the
-        window ``lo:hi``."""
+    def _thresholds(self, q, k, perm, theta, rho, radius, buf):
+        """Steps 1 and 2 for the query rows ``q[perm]``, of angles ``theta``,
+        and k neighbours: the filter threshold ``tau + 2E``, rounded up to
+        float32, and the window ``lo:hi``."""
         m, p = q.shape
-        n, k = self._x.shape[0], self.k
+        n = self._x.shape[0]
         w = min(n, max(8 * k, n // 24))
         start = np.searchsorted(self._theta, theta) - w // 2
         stop = start + w
@@ -232,8 +231,7 @@ class KNNRegressor:
         while i < m:
             j = _chunk_end(start, stop, i, n)
             qa, q_sq = _augmented(q[perm[i:j]])
-            f = self._products(qa, int(start[i]), int(stop[j - 1]), buf,
-                               np.arange(i, j) if loo else None)[0]
+            f = self._products(qa, int(start[i]), int(stop[j - 1]), buf)[0]
             tau = _kth_bound(f, k)
             with np.errstate(over="ignore", invalid="ignore"):
                 err = (2 * p + 10) * (2.0 ** -24 * (q_sq + self._x_sq_max) + 2.0 ** -126)
@@ -262,11 +260,10 @@ class KNNRegressor:
         lo[~narrow], hi[~narrow] = 0, n
         return lo, hi
 
-    def _products(self, qa: np.ndarray, a: int, e: int, buf: np.ndarray, own):
+    def _products(self, qa: np.ndarray, a: int, e: int, buf: np.ndarray):
         """Float32 ``f`` of the rows ``qa`` against the columns at unrolled
         angle positions ``a:e`` (every column if that is n or more), in
-        ``buf``, and the position of its first column. The column at
-        position ``own[r]`` is +inf in row r."""
+        ``buf``, and the position of its first column."""
         n = self._x.shape[0]
         if e - a >= n:
             a, e = 0, n
@@ -278,17 +275,13 @@ class KNNRegressor:
             np.matmul(qa, self._xa[:, a:a + first], out=f[:, :first])
             if first < width:
                 np.matmul(qa, self._xa[:, :width - first], out=f[:, first:])
-        if own is not None:
-            t = (own - a) % n
-            inside = t < width
-            f[np.flatnonzero(inside), t[inside]] = np.inf
         return f, a
 
-    def _refine(self, chunk: np.ndarray, row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    def _refine(self, chunk: np.ndarray, k: int, row: np.ndarray, col: np.ndarray) -> np.ndarray:
         """The k nearest of each query row's kept columns, at angle positions
         ``col``, by (float64 distance, row index), as ascending row indices;
         ``row`` is sorted."""
-        b, k = chunk.shape[0], self.k
+        b = chunk.shape[0]
         counts = np.bincount(row, minlength=b)
         if counts.min() < k:
             raise AssertionError("the filter kept fewer than k columns of a query row")

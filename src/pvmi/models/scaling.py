@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureScaler:
     mean: np.ndarray
     std: np.ndarray

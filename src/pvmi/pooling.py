@@ -32,7 +32,7 @@ serves only the README quick start and the benchmark's long-record workload.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,13 +40,18 @@ import numpy as np
 @dataclass(frozen=True)
 class PooledPrediction:
     """Pooled forecast across B rounds with its variance decomposition: one
-    entry per hour in each moment, or one float in an entry of :meth:`hours`."""
+    entry per hour in each moment, or one float in an entry of :meth:`hours`.
+    Two are equal when each field is, by ``np.array_equal``."""
 
     mean: float | np.ndarray
     within_var: float | np.ndarray
     between_var: float | np.ndarray
     total_var: float | np.ndarray
     n_rounds: int
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PooledPrediction) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def hours(self) -> list[PooledPrediction]:
         """One scalar :class:`PooledPrediction` per hour of an array pooling."""

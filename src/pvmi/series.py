@@ -27,7 +27,7 @@ _HEADER = ("timestamp", "power", "irradiance")
 _HOUR = timedelta(hours=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HourlySeries:
     """Immutable, contiguous hourly record of power and irradiance.
 

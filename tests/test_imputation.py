@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvmi import ConditionalSampler, DomainError, InsufficientDataError, complete_series, fit_sampler
-from pvmi.imputation import DEFAULT_K_GRID, neighbors, select_k
+from pvmi.imputation import DEFAULT_K_GRID, _run_starts, neighbors, select_k
 from tests.conftest import make_series
 
 
@@ -164,7 +164,11 @@ def test_select_k_pure_noise_picks_large():
 
 def test_fit_sampler_auto_k_on_tiny_data():
     s = make_series([1.0, 2.0], [0.1, 0.2])
-    assert fit_sampler(s).k == 1  # too small to cross-validate
+    assert fit_sampler(s).k == 1  # the only size that leaves one pair out
+
+
+def test_select_k_on_two_pairs_picks_one():
+    assert select_k(np.array([0.2, 0.1]), np.array([1.0, 2.0]), [1]) == 1
 
 
 def test_complete_single_mode_uses_neighbor_mean():
@@ -279,13 +283,45 @@ def test_runs_match_the_lexsort_oracle(case):
         assert np.array_equal(_run(irr, k, queries), want)
         return
     # the k nearest other pairs of pair i: its (k + 1)-run without i when i
-    # lies in that run, else its k-run (what select_k sums)
-    wide, narrow = _run(irr, k + 1, irr), _run(irr, k, irr)
+    # lies in that run, else the first k pairs of that run (what select_k
+    # sums)
+    wide = _run(irr, k + 1, irr)
     own = np.arange(irr.size)[:, None]
     inside = (wide == own).any(axis=1)
     got = np.where(inside[:, None], np.sort(np.where(wide == own, irr.size, wide), axis=1)[:, :k],
-                   narrow)
+                   wide[:, :k])
     assert np.array_equal(got, want)
+
+
+@st.composite
+def night_heavy_pairs(draw):
+    """Sorted irradiances dominated by night zeros, at least 3, among a few
+    daytime levels, and a run size g that leaves at least one pair outside
+    its own (g + 1)-run: g + 1 is below the longest run of equal values."""
+    night = draw(st.integers(3, 400))
+    day = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 4))
+    irr = np.sort(np.concatenate((np.zeros(night), rng.integers(1, levels + 1, day) / levels)))
+    longest = int(np.unique(irr, return_counts=True)[1].max())
+    g = 1 + int(draw(st.floats(0.0, 1.0)) * (longest - 3))
+    return irr, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=night_heavy_pairs())
+def test_a_pair_outside_its_wider_run_starts_both_runs_at_one_pair(case):
+    # outside its (g + 1)-run, pair i has g + 1 pairs of equal irradiance
+    # and lower position before it, so its g-run is the first g of them:
+    # select_k sums that run from the (g + 1)-run's start
+    irr, g = case
+    own = np.arange(irr.size)
+    for size in sorted({g, *(d for d in DEFAULT_K_GRID if d < irr.size)}):
+        wide = _run_starts(irr, irr, size + 1)
+        outside = (own < wide) | (own > wide + size)
+        if size == g:
+            assert outside.any()
+        np.testing.assert_array_equal(_run_starts(irr, irr, size)[outside], wide[outside])
 
 
 @settings(max_examples=60, deadline=None)

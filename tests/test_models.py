@@ -383,25 +383,32 @@ def test_knn_ties_go_to_the_smaller_index(k):
     # +-1 inputs with every column balanced standardize to themselves, so
     # each squared distance is an exact integer and ties are exact; rows
     # 10-13 duplicate row 3, and rows 40-43 its mirror, row 33, each with
-    # its own target
+    # its own target. The second input adds rows 20-27 as duplicates of row
+    # 15: a run of 9, longer than k + 2, whose last rows are not among their
+    # own k + 1 nearest, so leave-one-out drops the last of those instead.
     rng = np.random.default_rng(5)
     half = np.where(rng.random((30, 48)) < 0.5, -1.0, 1.0)
     half[10:14] = half[3]
-    x = np.vstack([half, -half])
-    y = rng.normal(size=len(x))
-    model = KNNRegressor.fit(x, y, k=k)
-    assert np.array_equal(model.scaler.transform(x), x)
+    long_run = half.copy()
+    long_run[20:28] = half[15]
+    y = rng.normal(size=60)
+    for h in (half, long_run):
+        x = np.vstack([h, -h])
+        model = KNNRegressor.fit(x, y, k=k)
+        assert np.array_equal(model.scaler.transform(x), x)
 
-    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    order = np.arange(len(x))
-    nearest = [np.sort(np.lexsort((order, row))[:k]) for row in d2]
-    np.testing.assert_allclose(model.predict(x), [y[i].mean() for i in nearest],
-                               rtol=1e-12, atol=1e-12)
-    assert model.predict(x[3])[0] == y[np.array([3, 10, 11, 12, 13])[:k]].mean()
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        order = np.arange(len(x))
+        nearest = [np.sort(np.lexsort((order, row))[:k]) for row in d2]
+        np.testing.assert_allclose(model.predict(x), [y[i].mean() for i in nearest],
+                                   rtol=1e-12, atol=1e-12)
+        assert model.predict(x[3])[0] == y[np.array([3, 10, 11, 12, 13])[:k]].mean()
 
-    np.fill_diagonal(d2, np.inf)
-    loo = [y[np.sort(np.lexsort((order, row))[:k])].mean() - y[i] for i, row in enumerate(d2)]
-    assert model.loo_residual_variance() == pytest.approx(np.mean(np.square(loo)), rel=1e-12)
+        np.fill_diagonal(d2, np.inf)
+        loo = [y[np.sort(np.lexsort((order, row))[:k])].mean() - y[i]
+               for i, row in enumerate(d2)]
+        assert model.loo_residual_variance() == pytest.approx(np.mean(np.square(loo)),
+                                                              rel=1e-12)
 
 
 @pytest.mark.threaded_blas
@@ -437,8 +444,9 @@ def test_knn_row_predicts_the_same_alone_and_in_a_batch(n_train):
 
 def test_knn_loo_leaves_its_own_row_out_when_the_filter_keeps_every_row():
     # rows of 1e20 have squared norms past float32 range, so every
-    # threshold is +inf and the filter keeps each row's own column: the
-    # exact stage must drop it again. Rows 0-4 and 5-9 are pairwise apart.
+    # threshold is +inf and the filter keeps every column: the refine ranks
+    # them all, and leave-one-out drops the row's own index from its k + 1
+    # nearest. Rows 0-4 and 5-9 are pairwise apart.
     rng = np.random.default_rng(3)
     x = 1e20 * np.vstack([np.eye(5), np.eye(5) + 1e-3 * rng.random((5, 5))])
     y = rng.normal(size=10)
