@@ -376,8 +376,8 @@ def run(config: ExperimentConfig, output_dir: str | Path | None = None) -> dict:
 def _pool_pipelines(config: ExperimentConfig, cells: list[Cell],
                     pipelines: list[Pipeline]) -> dict[str, tuple]:
     """Each pipeline's seed and its pooling, or the exception its pooling
-    raised, by pipeline id; each pipeline is pooled once, in cell order, so
-    a setup's B-round pipelines grow one round stack in ascending B."""
+    raised, by pipeline id; each pipeline is pooled once. A setup's B-round
+    pipelines share its model's rounds, each drawn once, in any order."""
     pooled: dict[str, tuple] = {}
     for cell in cells:
         if cell.pipeline_id in pooled:

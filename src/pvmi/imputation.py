@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check
 from .series import HourlySeries
 
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
@@ -89,8 +89,9 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
         Series whose mask==0 hours supply the (irradiance, power) pairs.
     k : int or None
         Neighbourhood size. None selects k by leave-one-out MSE over
-        ``DEFAULT_K_GRID`` (restricted to valid sizes); an explicit k larger
-        than the number n of pairs is clamped to n.
+        ``DEFAULT_K_GRID`` (restricted to valid sizes); an explicit k must
+        be an integer >= 1 (a bool or a float is rejected, not truncated),
+        and one larger than the number n of pairs is clamped to n.
     """
     obs = ~train.mask
     irr = train.irradiance[obs]
@@ -103,9 +104,7 @@ def fit_sampler(train: HourlySeries, k: int | None = None) -> ConditionalSampler
     if k is None:
         k = select_k(irr, pw, [g for g in DEFAULT_K_GRID if g <= n - 1])
     else:
-        k = int(min(k, n))
-        if k < 1:
-            raise ValueError("k must be a positive count")
+        k = min(check("k", k, int, 1), n)
     return ConditionalSampler(irr, pw, k)
 
 
@@ -127,7 +126,8 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
 
     Each pair is predicted by the mean power of its k nearest irradiance
     neighbours among the remaining pairs; the grid value with the smallest
-    mean squared error wins, earlier grid entries winning ties. The pairs
+    mean squared error wins, earlier grid entries winning ties; each grid
+    value must be an integer in [1, n - 1], n the number of pairs. The pairs
     are stably sorted by irradiance first. The k nearest other pairs of pair
     i are its (k + 1)-run without i when i lies in that run, and otherwise
     that run's first k, since k + 1 pairs of i's irradiance and lower
@@ -140,7 +140,7 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     order = np.argsort(irr, kind="stable")
     irr, pw = irr[order], pw[order]
     n = irr.size
-    grid = [int(g) for g in grid]
+    grid = [check("grid value", g, int) for g in grid]
     if n < 2:
         raise ValueError("need at least 2 pairs for leave-one-out selection")
     if not grid:

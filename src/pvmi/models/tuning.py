@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InsufficientDataError
+from ..errors import InsufficientDataError, check
 from ..features import SupervisedDataset
 
 KNN_GRID_STEPS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 500)
@@ -22,8 +22,7 @@ LASSO_GRID_RATIO = 1e-4
 def expanding_window_folds(n: int, folds: int) -> list[tuple[int, int]]:
     """(train_end, val_end) row bounds per fold; train is [0, train_end),
     validation is [train_end, val_end)."""
-    if folds < 1:
-        raise ValueError(f"folds must be >= 1, got {folds}")
+    folds = check("folds", folds, int, 1)
     bounds = [(i * n) // (folds + 1) for i in range(folds + 2)]
     out = []
     for i in range(1, folds + 1):
@@ -40,11 +39,13 @@ def tune_chronological(family: str, data: SupervisedDataset, grid, folds: int,
                        seed: int = 0):
     """Return the RegressorSpec from ``grid`` with the best expanding-window MSE.
 
-    ``grid`` is a sequence of hyperparameter mappings for ``family``. A
-    single-entry grid short-circuits the fold loop and is returned as-is.
+    ``grid`` is a sequence of hyperparameter mappings for ``family``, and
+    ``folds`` an integer >= 1 whatever the grid. A single-entry grid
+    short-circuits the fold loop and is returned as-is.
     """
     from . import RegressorSpec, fit  # local import to avoid a cycle
 
+    folds = check("folds", folds, int, 1)
     grid = [dict(g) for g in grid]
     if not grid:
         raise ValueError("grid must contain at least one candidate")

@@ -33,7 +33,7 @@ the missing hours of each series and their sampler neighbours, the
 single-imputed training set, and which test windows hold a gap.
 Per spec, a :class:`Pipeline` holds what the model adds: the
 single-imputation model shared by setups 1 and 2, its round variance and its
-forecasts of the gap-free test windows. Per round, :meth:`Pipeline.pool`
+forecasts of the gap-free test windows. Per round, ``Pipeline._round``
 draws one completion (one ``rng.integers(0, k, size=m)`` call per series)
 and predicts, in setups 1-2, only the test rows whose window holds a gap; in
 setup 3 it fits the round's own model and predicts every row. A gap-free row
@@ -41,13 +41,13 @@ is predicted once, in one batch, and every round reuses that forecast, so
 its rounds agree exactly: its pooled mean is that forecast and its
 between-round variance is zero.
 
-Each round is computed once per (setup, seed). A :class:`Pipeline` keeps
-one round stack per (setup, seed): a (B, hours) array of forecasts and a
-(B,) array of round variances, with the gap-free columns written once for
-all rounds. Since round ``b`` depends only on ``(seed, b)``, the first B
-rows of a longer stack are the B-round stack, so pooling B rounds computes
-only the rounds the stack does not hold yet and pools its first B rows with
-one ``rubin_pool`` call, bit for bit what a fresh pipeline gives.
+Each round is computed once per (setup, seed): a :class:`Pipeline` keeps
+the finished rounds of each (setup, seed) in a list, round ``b``'s
+forecasts and round variance at position ``b``. Since round ``b`` depends
+only on ``(setup, seed, b)``, pooling B rounds computes only the rounds the
+list does not hold yet and pools its first B with one ``rubin_pool`` call,
+bit for bit what a fresh pipeline gives. A pooling that raises at round ``b``
+keeps rounds ``0..b-1``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from . import models
+from .errors import check
 from .features import WINDOW_HOURS, SupervisedDataset, build_training
 from .imputation import ConditionalSampler, fill_gaps, fit_sampler, gap_neighbors
 from .pooling import PooledPrediction, rubin_pool
@@ -89,15 +90,18 @@ def run_pipeline(
     setup : int
         1, 2 or 3, see the module docstring. Setup 1 always runs one round.
     n_rounds : int
-        Number of imputation rounds B (ignored under setup 1).
+        Number of imputation rounds B >= 1; setup 1 runs one round whatever B.
     seed : int
-        Master seed; round b derives its own stream from (seed, b).
+        Master seed >= 0; round b derives its own stream from (seed, b).
     sampler_k : int or None
         Neighbourhood size for the conditional sampler; None selects it by
         leave-one-out error on the observed training pairs.
 
     Raises
     ------
+    ValueError
+        For a ``setup``, ``n_rounds``, ``seed`` or ``sampler_k`` out of its
+        range or not an integer (a bool or a float is not one).
     InsufficientDataError
         For a kNN spec whose ``k`` is not below the number of training rows,
         which leaves no leave-one-out residual variance.
@@ -154,15 +158,15 @@ class Pipeline:
     """One spec's forecasts over a :class:`Completions`. The shared
     single-imputation model and its forecasts of the gap-free test rows are
     built on first use and serve every setup-1/2 pooling; so does the
-    failure of a shared fit. The rounds of each (setup, seed) are kept as
-    one round stack that every pooling of them reads and grows."""
+    failure of a shared fit. The finished rounds of each (setup, seed) are
+    kept in a list that every pooling of them reads and extends."""
 
     def __init__(self, completions: Completions, spec: models.RegressorSpec):
         self.completions = completions
         self.spec = spec
         self._shared_failure: Exception | None = None
-        # (setup, seed) -> its round stack: (B, hours) forecasts, (B,) variances
-        self._stacks: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (setup, seed) -> its finished rounds: (forecasts, round variance)
+        self._rounds: dict[tuple[int, int], list[tuple[np.ndarray, float]]] = {}
 
     @cached_property
     def shared(self) -> tuple[models.TrainedModel, float]:
@@ -190,47 +194,37 @@ class Pipeline:
         """:func:`run_pipeline`'s rounds and pooling, for this spec and the
         sampler of :attr:`completions`: one array pooling, each moment with
         one entry per test hour. Rounds of ``(setup, seed)`` that an earlier
-        pooling computed are reused; a pooling that raises keeps none of the
-        rounds it added."""
+        pooling computed are reused; a pooling that raises at round ``b``
+        keeps rounds ``0..b-1``."""
+        setup = check("setup", setup, int)
         if setup not in SETUPS:
             raise ValueError(f"setup must be one of {SETUPS}, got {setup}")
-        if n_rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-        b_total = 1 if setup == 1 else int(n_rounds)
-        stack = self._stacks.get((setup, seed))
-        if stack is None or len(stack[1]) < b_total:
-            stack = self._stacks[setup, seed] = self._grow(setup, seed, stack, b_total)
-        means, variances = stack
-        return rubin_pool(means[:b_total], variances[:b_total])
+        n_rounds = check("n_rounds", n_rounds, int, 1)
+        seed = check("seed", seed, int, 0)
+        b_total = 1 if setup == 1 else n_rounds
+        rounds = self._rounds.setdefault((setup, seed), [])
+        for b in range(len(rounds), b_total):
+            rounds.append(self._round(setup, seed, b))
+        means, variances = zip(*rounds[:b_total])
+        return rubin_pool(np.stack(means), np.array(variances))
 
-    def _grow(self, setup: int, seed: int, stack: tuple | None,
-              b_total: int) -> tuple[np.ndarray, np.ndarray]:
-        """The round stack of ``(setup, seed)``, ``stack`` (None for no
-        rounds) extended to ``b_total`` rounds."""
-        done = 0 if stack is None else len(stack[1])
+    def _round(self, setup: int, seed: int, b: int) -> tuple[np.ndarray, float]:
+        """Round ``b`` of ``(setup, seed)``: its forecast of every test row
+        and its round variance."""
         c = self.completions
-        means = np.empty((b_total, c.gap_rows.size))  # row b: round b's forecasts
-        variances = np.empty(b_total)
-        if stack is not None:
-            means[:done], variances[:done] = stack
-        if setup in (1, 2):
-            model, var = self.shared
-            variances[done:] = var
-            gap = c.gap_rows
-            means[done:, ~gap] = self.gap_free_means
-
-        for b in range(done, b_total):
-            rng = np.random.default_rng([seed, b + 1])
-            if setup == 3:
-                train_ds = c.train_draw(rng)  # drawn before the test series
-                model = models.fit(self.spec, train_ds)
-                variances[b] = _round_variance(model, train_ds)
-                means[b] = model.predict(c.test_draw(rng).inputs)
-            else:
-                # only the gap rows' windows outlive this line
-                inputs = (c.test_single() if setup == 1 else c.test_draw(rng)).inputs[gap]
-                means[b, gap] = model.predict(inputs)
-        return means, variances
+        rng = np.random.default_rng([seed, b + 1])
+        if setup == 3:
+            train_ds = c.train_draw(rng)  # drawn before the test series
+            model = models.fit(self.spec, train_ds)
+            variance = _round_variance(model, train_ds)
+            return model.predict(c.test_draw(rng).inputs), variance
+        model, variance = self.shared
+        forecasts = np.empty(c.gap_rows.size)
+        forecasts[~c.gap_rows] = self.gap_free_means
+        # only the gap rows' windows outlive this line
+        inputs = (c.test_single() if setup == 1 else c.test_draw(rng)).inputs[c.gap_rows]
+        forecasts[c.gap_rows] = model.predict(inputs)
+        return forecasts, variance
 
 
 def _round_variance(model: models.TrainedModel, train_ds: SupervisedDataset) -> float:

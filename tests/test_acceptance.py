@@ -170,7 +170,7 @@ def directional_grid():
                         block_len_hours=24, seed=seed + 2),
         )
         # one sampler and completions per seed, and one pipeline per family
-        # whose B = 10 scenarios extend the round stacks of its B = 5 scenarios
+        # whose B = 10 scenarios add rounds to those of its B = 5 scenarios
         completions = Completions(train, test, fit_sampler(train))
         for family, spec in FAMILY_SPECS.items():
             pipeline = Pipeline(completions, spec)

@@ -35,8 +35,10 @@ def test_fit_requires_two_pairs():
 def test_k_clamped_to_pair_count():
     s = make_series([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
     assert fit_sampler(s, k=10).k == 3
-    with pytest.raises(ValueError):
-        fit_sampler(s, k=0)
+    assert fit_sampler(s, k=np.int64(2)).k == 2
+    for bad in (0, 2.7, True):  # a bool or a float is rejected, not truncated
+        with pytest.raises(ValueError, match="^k must be"):
+            fit_sampler(s, k=bad)
 
 
 def test_neighbors_by_irradiance_distance():
@@ -169,6 +171,9 @@ def test_fit_sampler_auto_k_on_tiny_data():
 
 def test_select_k_on_two_pairs_picks_one():
     assert select_k(np.array([0.2, 0.1]), np.array([1.0, 2.0]), [1]) == 1
+    for bad in (1.5, True):  # a grid value is an integer, not truncated to one
+        with pytest.raises(ValueError, match="^grid value must be"):
+            select_k(np.array([0.2, 0.1]), np.array([1.0, 2.0]), [bad])
 
 
 def test_complete_single_mode_uses_neighbor_mean():

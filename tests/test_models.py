@@ -909,8 +909,9 @@ def test_fold_bounds_are_contiguous_and_exhaustive(rng):
 
 
 def test_fold_bounds_reject_bad_arguments():
-    with pytest.raises(ValueError, match="folds"):
-        expanding_window_folds(100, 0)
+    for bad in (0, 2.5, True):  # a bool or a float is rejected, not truncated
+        with pytest.raises(ValueError, match="^folds must be"):
+            expanding_window_folds(100, bad)
     with pytest.raises(InsufficientDataError):
         expanding_window_folds(3, 5)
 
@@ -919,6 +920,9 @@ def test_tune_single_candidate_short_circuits(rng):
     data = make_dataset(rng, 10)  # far too small for folds; must not matter
     spec = tune_chronological("knn", data, [{"k": 4}], folds=5, seed=9)
     assert spec == RegressorSpec("knn", {"k": 4}, seed=9)
+    for bad in (0, 2.5):  # checked whatever the grid
+        with pytest.raises(ValueError, match="^folds must be"):
+            tune_chronological("knn", data, [{"k": 4}], folds=bad)
 
 
 def test_tune_prefers_local_fit_on_noiseless_data(rng):

@@ -1,6 +1,9 @@
-"""Package-wide checks: the library imports with numpy alone, and its frozen
-dataclasses that hold arrays compare without raising."""
+"""Package-wide checks: the library imports with numpy alone, its frozen
+dataclasses that hold arrays compare without raising, and every function the
+benchmark's tracer patches by name exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,7 +22,8 @@ from pvmi import (
 from pvmi.models.scaling import FeatureScaler
 from tests.conftest import make_series
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 IMPORT_EVERY_MODULE = """
 import importlib, pkgutil, sys
@@ -57,3 +61,38 @@ def test_dataclasses_holding_arrays_compare_without_raising(make):
     a, b = make(), make()
     assert a == a
     assert (a == b) is isinstance(a, PooledPrediction)
+
+
+def _pvmi_bindings():
+    """Every module-level binding and ``predict`` method of the loaded pvmi
+    modules, by (module, name)."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name == "pvmi" or name.startswith("pvmi."):
+            for attr, value in vars(module).items():
+                out[name, attr] = value
+                if isinstance(value, type) and "predict" in vars(value):
+                    out[name, f"{attr}.predict"] = vars(value)["predict"]
+    return out
+
+
+def test_the_benchmark_tracer_patches_names_that_exist():
+    # perfbench/spans.py looks up pvmi functions and predict methods by name;
+    # a deleted or renamed one breaks only the traced benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pinned = [(m, a) for m, a, *_ in spans.FUNCTIONS + spans.COUNTED]
+    pinned += [(m, f"{c}.predict") for m, c in spans.PREDICT_CLASSES]
+    for module, _ in pinned:
+        importlib.import_module(module)
+    before = _pvmi_bindings()
+    tracing = spans.Tracing(spans.Recorder("guard"))
+    try:
+        tracing.__enter__()
+        during = _pvmi_bindings()
+        assert [p for p in pinned if p not in before or during[p] is before[p]] == []
+    finally:
+        tracing.__exit__(None, None, None)
+    after = _pvmi_bindings()
+    assert [key for key, value in before.items() if after[key] is not value] == []

@@ -88,13 +88,26 @@ def gappy_pair(complete_pair):
 
 
 def test_rejects_bad_setup_and_rounds(complete_pair):
+    # a bool is never a number and a float never an integer: each is
+    # rejected, not truncated; setup 1 runs one round but checks the count
     train, test = complete_pair
-    with pytest.raises(ValueError, match="setup"):
-        run_pipeline(train, test, SPEC, setup=0)
-    with pytest.raises(ValueError, match="setup"):
-        run_pipeline(train, test, SPEC, setup=4)
-    with pytest.raises(ValueError, match="n_rounds"):
-        run_pipeline(train, test, SPEC, setup=2, n_rounds=0)
+    for name, kwargs in [
+        ("setup", {"setup": 0}),
+        ("setup", {"setup": 4}),
+        ("setup", {"setup": True}),
+        ("setup", {"setup": 2.0}),
+        ("n_rounds", {"setup": 2, "n_rounds": 0}),
+        ("n_rounds", {"setup": 2, "n_rounds": 2.5}),
+        ("n_rounds", {"setup": 2, "n_rounds": True}),
+        ("n_rounds", {"setup": 1, "n_rounds": 2.5}),
+        ("seed", {"setup": 2, "seed": True}),
+        ("seed", {"setup": 2, "seed": 2.5}),
+        ("seed", {"setup": 2, "seed": -1}),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_pipeline(train, test, SPEC, **kwargs)
+    numpy_ints = run_pipeline(train, test, SPEC, np.int64(2), np.int64(2), np.int64(3))
+    assert numpy_ints == run_pipeline(train, test, SPEC, 2, 2, 3)
 
 
 def test_one_prediction_per_admissible_test_hour(gappy_pair):
@@ -246,8 +259,8 @@ def test_gap_free_windows_have_exactly_zero_between_variance(gappy_pair, family,
                                    st.sampled_from((4, 9))), min_size=1, max_size=6))
 def test_any_order_of_poolings_gives_the_bits_of_a_fresh_pipeline(gappy_pair, family,
                                                                   requests):
-    # round b depends only on (seed, b), so a pooling that reuses, extends
-    # or takes the first rows of an earlier pooling's round stack must equal
+    # round b depends only on (setup, seed, b), so a pooling that reuses,
+    # extends or takes the first of an earlier pooling's rounds must equal
     # one computed from scratch
     train, test = gappy_pair
     spec = FAMILY_SPECS[family]
@@ -261,7 +274,9 @@ def test_a_longer_pooling_fits_and_predicts_only_its_new_rounds(gappy_pair, monk
     import pvmi.models
 
     train, test = gappy_pair
-    pipeline = Pipeline(Completions(train, test, fit_sampler(train)), SPEC)
+    completions = Completions(train, test, fit_sampler(train))
+    fresh = [Pipeline(completions, SPEC).pool(setup, 2, seed=4) for setup in (1, 2, 3)]
+    pipeline = Pipeline(completions, SPEC)
     for setup in (1, 2, 3):
         pipeline.pool(setup, 3, seed=4)
     calls = {"fit": 0, "predict": 0, "train_draw": [], "test_draw": []}
@@ -289,6 +304,51 @@ def test_a_longer_pooling_fits_and_predicts_only_its_new_rounds(gappy_pair, monk
     assert calls == {"fit": 2, "predict": 4, "train_draw": [3, 4], "test_draw": [3, 4, 3, 4]}
 
     calls.update(fit=0, predict=0, train_draw=[], test_draw=[])
-    for setup in (1, 2, 3):
-        assert pipeline.pool(setup, 2, seed=4).n_rounds == (1 if setup == 1 else 2)
+    # a shorter pooling takes the first rounds, not the last
+    assert [pipeline.pool(setup, 2, seed=4) for setup in (1, 2, 3)] == fresh
     assert calls == {"fit": 0, "predict": 0, "train_draw": [], "test_draw": []}
+
+
+def test_a_pooling_that_raises_keeps_the_rounds_it_finished(gappy_pair, monkeypatch):
+    # round b depends only on (setup, seed, b), so the rounds finished before
+    # a failing one stay valid, and later poolings compute only the others
+    import pvmi.models
+
+    train, test = gappy_pair
+    completions = Completions(train, test, fit_sampler(train))
+    fresh = {b: Pipeline(completions, SPEC).pool(3, b, seed=4) for b in (2, 4)}
+    pipeline = Pipeline(completions, SPEC)
+    fit_calls, drawn, predicted = [], [], []
+    fit_original, train_draw_original = pvmi.models.fit, Completions.train_draw
+    predict_original = KNNRegressor.predict
+
+    def third_fit_fails(spec, data):
+        fit_calls.append(spec)
+        if len(fit_calls) == 3:
+            raise RuntimeError("third fit")
+        return fit_original(spec, data)
+
+    def train_draw(self, rng):
+        drawn.append(rng.bit_generator.seed_seq.entropy[1] - 1)  # round b
+        return train_draw_original(self, rng)
+
+    def predict(self, x):
+        predicted.append(len(x))
+        return predict_original(self, x)
+
+    monkeypatch.setattr(pvmi.models, "fit", third_fit_fails)
+    monkeypatch.setattr(Completions, "train_draw", train_draw)
+    monkeypatch.setattr(KNNRegressor, "predict", predict)
+    with pytest.raises(RuntimeError, match="third fit"):
+        pipeline.pool(3, 4, seed=4)
+    assert drawn == [0, 1, 2]
+
+    for log in (fit_calls, drawn, predicted):
+        log.clear()
+    assert pipeline.pool(3, 2, seed=4) == fresh[2]
+    assert (fit_calls, drawn, predicted) == ([], [], [])
+
+    monkeypatch.setattr(pvmi.models, "fit", fit_original)
+    assert pipeline.pool(3, 4, seed=4) == fresh[4]
+    assert drawn == [2, 3]
+    assert len(predicted) == 2
