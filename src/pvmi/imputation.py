@@ -26,8 +26,8 @@ ranks pairs by distance to the query, then pairs left of p before pairs right
 of p, then pairs nearer p first. The first k pairs in that order form one run,
 and a bisection over its k + 1 possible starts finds it: the run moves right
 while the pair after it is strictly closer than its first pair. That is
-O(log n + log k) per query, plus the k indices it returns. Irradiances must
-be finite.
+O(log n + log k) per query, plus the k indices it returns. Irradiances and
+pair powers must be finite.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class ConditionalSampler:
     """Observed (irradiance, power) pairs sorted by irradiance, plus k.
 
     ``irradiance`` and ``power`` are aligned arrays in ascending irradiance
-    order, the irradiance finite; neighbour indices returned by :func:`neighbors` refer to positions
-    in these arrays.
+    order, both finite; neighbour indices returned by :func:`neighbors` refer
+    to positions in these arrays.
     """
 
     irradiance: np.ndarray
@@ -61,6 +61,7 @@ class ConditionalSampler:
         if irr.shape != pw.shape or irr.ndim != 1:
             raise ValueError("irradiance and power must be aligned 1-D arrays")
         _require_finite(irr, "pair irradiance")
+        _require_finite(pw, "pair power")
         if np.any(np.diff(irr) < 0):
             raise ValueError("pairs must be sorted by irradiance")
         if not 1 <= self.k <= irr.size:
@@ -137,6 +138,7 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     irr = np.asarray(irradiance, dtype=float)
     pw = np.asarray(power, dtype=float)
     _require_finite(irr, "pair irradiance")
+    _require_finite(pw, "pair power")
     order = np.argsort(irr, kind="stable")
     irr, pw = irr[order], pw[order]
     n = irr.size
@@ -212,8 +214,8 @@ def complete_series(
     return fill_gaps(series, sampler, gap_neighbors(series, sampler), rng)
 
 
-def _require_finite(irradiance: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(irradiance)):
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
         raise DomainError(f"{what} must be finite")
 
 

@@ -56,7 +56,6 @@ _GAMMA_ITMAX = 10_000
 _FPMIN = 1e-300
 _LOG_TINY = math.log(math.ulp(0.0))  # log of the smallest positive double
 _SHAPE_SCALE_RULE = "shape and scale must be positive and finite"
-_GAMMA_PIECE = 2048
 
 
 def regularized_gamma_p(a: float, x: float) -> float:
@@ -290,24 +289,11 @@ def _libm(fn, v: np.ndarray) -> np.ndarray:
 
 def _gamma_quantiles(p: np.ndarray, a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """:func:`gamma_quantile` for every element of the equal-length arrays
-    ``p`` (in (0, 1)), ``a`` and ``scale``, with its errors. The elements go
-    through the search in pieces of ``_GAMMA_PIECE``, in order of shape so
-    that a piece holds elements of like iteration counts. The search is
-    elementwise, so the pieces change no bit; they bound its working set,
-    about fifteen float arrays and a few lists of Python floats of a piece's
-    length."""
+    ``p`` (in (0, 1)), ``a`` and ``scale``, with its errors. Every element
+    enters one search and leaves it once its own search ends; the working set
+    is about fifteen float arrays of the input's length."""
     if np.any((a <= 0.0) | (scale <= 0.0) | (a == math.inf) | (scale == math.inf)):
         raise ValueError(_SHAPE_SCALE_RULE)
-    out = np.empty(a.size)
-    order = np.argsort(a, kind="stable")
-    for s in range(0, a.size, _GAMMA_PIECE):
-        piece = order[s:s + _GAMMA_PIECE]
-        out[piece] = _gamma_quantile_piece(p[piece], a[piece], scale[piece])
-    return out
-
-
-def _gamma_quantile_piece(p: np.ndarray, a: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """:func:`_gamma_quantiles` for checked shapes and scales."""
     n = a.size
     lgamma_a = _libm(math.lgamma, a)
     t_floor = _LOG_TINY + np.maximum(0.0, -_libm(math.log, scale))

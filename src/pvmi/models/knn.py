@@ -106,7 +106,7 @@ import math
 
 import numpy as np
 
-from ..errors import InsufficientDataError
+from ..errors import InsufficientDataError, check
 from .scaling import FeatureScaler
 
 _CHUNK_BYTES = 1 << 20
@@ -122,6 +122,7 @@ class KNNRegressor:
     def __init__(self, scaler: FeatureScaler, inputs_scaled: np.ndarray,
                  targets: np.ndarray, k: int):
         n, p = inputs_scaled.shape
+        k = check("k", k, int)
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
         self.scaler = scaler
@@ -141,7 +142,7 @@ class KNNRegressor:
         for r in self._xa:  # into angle order a row at a time: no second copy
             r[:] = r[self._order]
         self._y = targets
-        self.k = int(k)
+        self.k = k
 
     @classmethod
     def fit(cls, inputs: np.ndarray, targets: np.ndarray, k: int = 8) -> "KNNRegressor":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CollinearDesignError
+from ..errors import CollinearDesignError, check
 from .scaling import FeatureScaler
 
 # A standardized column counts as collinear with others when they explain
@@ -50,7 +50,7 @@ class LassoRegressor:
 
     @classmethod
     def fit(cls, inputs: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> "LassoRegressor":
-        lam = float(lam)
+        lam = check("lam", lam, float)
         if lam < 0:
             raise ValueError(f"penalty must be non-negative, got {lam}")
         scaler, xs, c = _standardize(inputs, targets)

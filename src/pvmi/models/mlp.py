@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 
+from ..errors import check
 from .scaling import FeatureScaler
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
@@ -151,7 +152,7 @@ class MLPRegressor:
         self.scaler = scaler
         self.params = params
         self.target_mean = float(target_mean)
-        self.hidden = tuple(int(h) for h in hidden)
+        self.hidden = tuple(hidden)
 
     @classmethod
     def fit(cls, inputs: np.ndarray, targets: np.ndarray,
@@ -159,12 +160,13 @@ class MLPRegressor:
             learning_rate: float = 1e-3,
             iterations: int = 1000,
             seed: int = 0) -> "MLPRegressor":
-        hidden = tuple(int(h) for h in hidden)
-        learning_rate, iterations = float(learning_rate), int(iterations)
-        if len(hidden) != 2 or min(hidden) < 1:
+        hidden = check("hidden", hidden, (int, int))
+        learning_rate = check("learning_rate", learning_rate, float)
+        iterations, seed = check("iterations", iterations, int, 1), check("seed", seed, int, 0)
+        if min(hidden) < 1:
             raise ValueError(f"hidden must be two positive widths, got {hidden}")
-        if iterations < 1 or not 0.0 < learning_rate < math.inf:
-            raise ValueError("iterations must be >= 1 and learning_rate positive and finite")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         scaler = FeatureScaler.fit(inputs)
         xs = scaler.transform(inputs)
         y_mean = targets.mean()

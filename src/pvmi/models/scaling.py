@@ -18,6 +18,10 @@ from ..errors import DataError
 
 @dataclass(frozen=True, eq=False)
 class FeatureScaler:
+    """Each column's training mean and std (numpy's, over the rows), with a
+    constant column's value and a unit std in their place. :meth:`fit` holds
+    one transient array of the inputs' size, as :meth:`transform` does."""
+
     mean: np.ndarray
     std: np.ndarray
 
@@ -25,7 +29,7 @@ class FeatureScaler:
     def fit(cls, inputs: np.ndarray) -> "FeatureScaler":
         constant = np.ptp(inputs, axis=0) == 0
         mean = np.where(constant, inputs[0], inputs.mean(axis=0))
-        std = np.where(constant, 1.0, _column_std(inputs))
+        std = np.where(constant, 1.0, inputs.std(axis=0))
         return cls(mean=mean, std=std)
 
     def transform(self, inputs: np.ndarray) -> np.ndarray:
@@ -47,13 +51,3 @@ class FeatureScaler:
             raise DataError("query rows contain NaN or infinite values")
         return self.transform(x)
 
-
-def _column_std(inputs: np.ndarray) -> np.ndarray:
-    """``inputs.std(axis=0)``, bit for bit, computed 8 columns at a time, so
-    that its temporary holds one block, not the whole inputs. A block of two
-    or more columns keeps numpy's row-by-row sums down each column, but a
-    single strided column would be summed pairwise: a last block of one
-    column joins the block before it."""
-    n = inputs.shape[1]
-    starts = [s for s in range(0, n, 8) if s == 0 or s < n - 1]
-    return np.concatenate([inputs[:, s:e].std(axis=0) for s, e in zip(starts, starts[1:] + [n])])

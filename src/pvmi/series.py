@@ -49,6 +49,8 @@ class HourlySeries:
     mask: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.start, datetime):
+            raise ValueError(f"start must be a datetime, got {self.start!r}")
         power = np.asarray(self.power, dtype=np.float64).copy()
         irr = np.asarray(self.irradiance, dtype=np.float64).copy()
         if power.ndim != 1 or irr.ndim != 1:

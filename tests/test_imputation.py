@@ -77,6 +77,11 @@ def test_non_finite_irradiance_is_rejected(bad):
         ConditionalSampler(np.array([0.1, 0.2, bad]), np.array([1.0, 2.0, 3.0]), 2)
     with pytest.raises(DomainError, match="pair irradiance"):
         select_k(np.array([0.1, bad, 0.2, 0.3]), np.ones(4), [1, 2])
+    # a non-finite power would be drawn into a completion as a missing hour
+    with pytest.raises(DomainError, match="pair power"):
+        ConditionalSampler(np.array([0.1, 0.2, 0.3]), np.array([1.0, bad, 3.0]), 2)
+    with pytest.raises(DomainError, match="pair power"):
+        select_k(np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, bad, 2.0, 3.0]), [1, 2, 3])
 
 
 def test_neighbors_sorted_ascending():

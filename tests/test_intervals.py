@@ -4,7 +4,6 @@ import math
 import sys
 import warnings
 from statistics import NormalDist
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,37 +222,15 @@ def test_the_underflow_check_keeps_every_quantiles_bits(elements):
             pvmi.intervals._gamma_quantiles(p, shape, scale)
 
 
-_QUANTILE = st.one_of(
-    _SMALL_SHAPE_QUANTILE,
-    st.tuples(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-2, 1e4), st.floats(1e-4, 1e4)),
-)
-
-
-def _pieced(p, shape, scale, piece):
-    with mock.patch.object(pvmi.intervals, "_GAMMA_PIECE", piece):
-        return _outcome(pvmi.intervals._gamma_quantiles, p, shape, scale)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_QUANTILE, min_size=1, max_size=40), st.sampled_from([1, 3, 7]))
-def test_gamma_quantile_pieces_change_no_bit(elements, piece):
-    p, shape, scale = (np.array(c) for c in zip(*elements))
-    whole = _pieced(p, shape, scale, 10**9)
-    pieced = _pieced(p, shape, scale, piece)
-    if isinstance(whole, type):  # the error of the whole call
-        assert pieced is whole
-    else:
-        np.testing.assert_array_equal(pieced.view(np.uint64), whole.view(np.uint64))
-
-
-def test_gamma_quantiles_in_default_pieces_equal_one_call(rng):
-    # more elements than one piece, shapes from 1e-4 to 1e4 in random order
-    n = 3 * pvmi.intervals._GAMMA_PIECE + 5
+def test_a_large_batch_of_gamma_quantiles_equals_the_scalar_function(rng):
+    # thousands of elements in one call, shapes from 1e-4 to 1e4 and scales
+    # from 1e-3 to 7 in random order, as a long test horizon's distinct hours
+    n = 3 * 2048 + 5
     p = rng.choice([0.025, 0.975], size=n)
     shape, scale = np.exp(rng.uniform(-9.2, 9.2, n)), np.exp(rng.uniform(-7.0, 2.0, n))
-    np.testing.assert_array_equal(
-        pvmi.intervals._gamma_quantiles(p, shape, scale).view(np.uint64),
-        _pieced(p, shape, scale, 10**9).view(np.uint64))
+    want = [gamma_quantile(*e) for e in zip(p.tolist(), shape.tolist(), scale.tolist())]
+    np.testing.assert_array_equal(pvmi.intervals._gamma_quantiles(p, shape, scale).view(np.uint64),
+                                  np.array(want).view(np.uint64))
 
 
 def test_an_underflowing_quantile_takes_one_cdf_evaluation(monkeypatch):

@@ -25,7 +25,7 @@ from pvmi.models import (
     residual_variance,
     tune_chronological,
 )
-from pvmi.models import knn, scaling
+from pvmi.models import knn
 from pvmi.models.mlp import init_params, loss_and_grads
 
 
@@ -72,32 +72,21 @@ def test_scaler_maps_an_inexact_constant_to_exact_zeros(rng, value, n):
 @given(width=st.sampled_from([1, 2, 5, 48, 49]), rows=st.integers(1, 400),
        seed=st.integers(0, 2**32 - 1), constant=st.sets(st.integers(0, 48)),
        offset=st.sampled_from([0.0, 0.1, 1e3]), contiguous=st.booleans())
-def test_scaler_std_in_column_blocks_equals_one_std(width, rows, seed, constant, offset,
-                                                    contiguous):
-    # numpy's column sums, so the bits, whatever the width and the constant
-    # columns, on contiguous inputs (as the windowed datasets are) and views
+def test_scaler_std_is_numpy_std_and_one_on_constant_columns(width, rows, seed, constant,
+                                                             offset, contiguous):
+    # numpy's std of each varying column, bit for bit, and 1 for each constant
+    # one, whatever the width, on contiguous inputs (as the windowed datasets
+    # are) and views
     rng = np.random.default_rng(seed)
     x = rng.normal(offset, rng.uniform(1e-3, 1e3, width + 1), size=(rows, width + 1))[:, 1:]
     if contiguous:
         x = np.ascontiguousarray(x)
     for j in constant & set(range(width)):
         x[:, j] = offset + j / 7.0
-    assert scaling._column_std(x).tobytes() == x.std(axis=0).tobytes()
     scaler = FeatureScaler.fit(x)
     varying = np.ptp(x, axis=0) != 0
     assert scaler.std[varying].tobytes() == x.std(axis=0)[varying].tobytes()
     assert np.all(scaler.std[~varying] == 1.0)
-
-
-def test_scaler_fit_holds_one_block_of_columns_at_a_time(rng):
-    x = rng.normal(size=(6576, 48))
-    tracemalloc.start()
-    try:
-        FeatureScaler.fit(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes / 2
 
 
 # ------------------------------------------------------------------ spec
@@ -138,15 +127,24 @@ def test_spec_rejects_unknown_hyperparameters(family, hp, key):
     ("lasso", {"lam": False}, "lam"),
     ("lasso", {"lam": None}, "lam"),
     ("mlp", {"seed": 1.5}, "seed"),
+    ("mlp", {"hidden": (4.9, 3)}, "hidden"),
+    ("lasso", {"lam": True}, "lam"),
+    ("mlp", {"seed": -1}, "seed"),
+    ("mlp", {"seed": True}, "seed"),
 ])
-def test_spec_rejects_a_value_of_the_wrong_type(family, hp, key):
+def test_spec_rejects_a_value_of_the_wrong_type(rng, family, hp, key):
     # each used to run truncated (k 2.5 as 2, hidden [4.9, 3] as (4, 3)) or
-    # fail late inside the fit (seed 1.5 with a bare TypeError); a "seed"
-    # entry here is the spec's own field, not a hyperparameter
+    # fail late inside the fit (seed 1.5 with a bare TypeError), both in the
+    # spec and in the family's own fit; a "seed" entry here is the spec's own
+    # field, not a hyperparameter, and the MLP fit's seed argument
     hp = dict(hp)
     seed = hp.pop("seed", 0)
     with pytest.raises(ValueError, match=f"^{key} must be "):
         RegressorSpec(family, hp, seed)
+    regressor = {"knn": KNNRegressor, "lasso": LassoRegressor, "mlp": MLPRegressor}[family]
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        regressor.fit(rng.normal(size=(6, 2)), rng.normal(size=6), **hp,
+                      **({"seed": seed} if family == "mlp" else {}))
 
 
 @pytest.mark.parametrize("hp", [5, [5], None, "k"])
@@ -164,6 +162,13 @@ def test_spec_takes_the_types_of_the_fit_defaults():
     RegressorSpec("mlp", {"hidden": [4, 3], "learning_rate": 1, "iterations": 5})
     hidden = RegressorSpec("mlp", {"hidden": (np.int32(4), 3)}).hyperparameters["hidden"]
     assert hidden == (4, 3) and type(hidden[0]) is int
+    # and the family's own fit takes them too
+    x, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    assert type(KNNRegressor.fit(x, y, k=np.int64(3)).k) is int
+    mlp = MLPRegressor.fit(x, y, hidden=(np.int32(4), 3), learning_rate=np.float32(0.5),
+                           iterations=np.int64(2), seed=np.uint8(1))
+    assert mlp.hidden == (4, 3) and type(mlp.hidden[0]) is int
+    assert LassoRegressor.fit(x, y, lam=np.float64(0.1)).lam == 0.1
 
 
 def test_fit_defaults_come_from_the_family(rng):

@@ -1,6 +1,7 @@
 """Package-wide checks: the library imports with numpy alone, its frozen
 dataclasses that hold arrays compare without raising, and every function the
-benchmark's tracer patches by name exists."""
+benchmark's tracer patches by name exists, with every attribute its count
+hooks read."""
 
 import importlib
 import importlib.util
@@ -15,10 +16,13 @@ import pytest
 from pvmi import (
     ConditionalSampler,
     GroundTruth,
+    MissingSpec,
     PooledPrediction,
     SupervisedDataset,
+    SynthSpec,
     rubin_pool,
 )
+from pvmi.experiment import ExperimentConfig, ModelConfig
 from pvmi.models.scaling import FeatureScaler
 from tests.conftest import make_series
 
@@ -76,9 +80,26 @@ def _pvmi_bindings():
     return out
 
 
-def test_the_benchmark_tracer_patches_names_that_exist():
-    # perfbench/spans.py looks up pvmi functions and predict methods by name;
-    # a deleted or renamed one breaks only the traced benchmark
+def _traced_run(tmp_path):
+    """One small grid with gaps, kNN and a lasso with path steps, and one
+    completion, each through the module binding that the tracer replaces."""
+    gaps = dict(mode="target-fraction", target_fraction=0.15, block_len_hours=6)
+    config = ExperimentConfig(
+        data_csv=None, data_synth=SynthSpec(days=8, seed=3), test_len=72,
+        model_configs=(ModelConfig("knn", {"k": 2}), ModelConfig("lasso", {"lam": 0.01})),
+        setups=(1, 2), n_rounds=(2,), train_missing=MissingSpec(**gaps, seed=1),
+        test_missing=MissingSpec(**gaps, seed=2), sampler_k=2)
+    importlib.import_module("pvmi.experiment").run(config, tmp_path)
+    imputation = importlib.import_module("pvmi.imputation")
+    series = make_series([1.0, np.nan, 3.0, np.nan], [0.1, 0.2, 0.3, 0.4])
+    imputation.complete_series(series, imputation.fit_sampler(series, k=1))
+
+
+def test_the_benchmark_tracer_patches_names_that_exist(tmp_path):
+    # perfbench/spans.py looks up pvmi functions and predict methods by name,
+    # and its count hooks read attributes that nothing in src/ reads (the
+    # sampler's n_pairs, the lasso's converged and n_sweeps); a deleted or
+    # renamed one breaks only the traced benchmark
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -89,9 +110,13 @@ def test_the_benchmark_tracer_patches_names_that_exist():
     before = _pvmi_bindings()
     tracing = spans.Tracing(spans.Recorder("guard"))
     try:
-        tracing.__enter__()
+        recorder = tracing.__enter__()
         during = _pvmi_bindings()
         assert [p for p in pinned if p not in before or during[p] is before[p]] == []
+        _traced_run(tmp_path)
+        counts = ("pairs", "rows", "predict_rows", "lasso_sweeps", "cells", "filled_hours")
+        assert [c for c in counts if not recorder.counts[c] > 0] == []
+        recorder.layer_metrics(1.0)
     finally:
         tracing.__exit__(None, None, None)
     after = _pvmi_bindings()

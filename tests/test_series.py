@@ -140,6 +140,9 @@ def test_series_rejects_length_mismatch_and_empty():
         HourlySeries(datetime(2022, 1, 1), np.array([1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         HourlySeries(datetime(2022, 1, 1), np.array([]), np.array([]))
+    # a string start used to fail only later, in a split or a write
+    with pytest.raises(ValueError, match="^start must be a datetime"):
+        HourlySeries("2022-01-01", np.array([1.0]), np.array([0.5]))
 
 
 def test_series_rejects_negative_observed_power():
