@@ -137,6 +137,8 @@ def select_k(irradiance: np.ndarray, power: np.ndarray, grid) -> int:
     """
     irr = np.asarray(irradiance, dtype=float)
     pw = np.asarray(power, dtype=float)
+    if irr.shape != pw.shape or irr.ndim != 1:
+        raise ValueError("irradiance and power must be aligned 1-D arrays")
     _require_finite(irr, "pair irradiance")
     _require_finite(pw, "pair power")
     order = np.argsort(irr, kind="stable")

@@ -30,6 +30,7 @@ count each row as its own neighbour.
 from __future__ import annotations
 
 import inspect
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -77,8 +78,8 @@ class RegressorSpec:
 
     ``hyperparameters`` is a mapping that may only name keyword arguments of
     the family's ``fit``, each with a value of its default's type (a tuple
-    default takes a list of as many integers); anything else raises
-    ``ValueError``.
+    default takes a list of as many integers), and a real value must be
+    finite; anything else raises ``ValueError``.
     """
 
     family: str
@@ -105,6 +106,8 @@ class RegressorSpec:
             default = params[name].default
             hp[name] = check(name, value, tuple(map(type, default))
                              if isinstance(default, tuple) else type(default))
+            if isinstance(hp[name], float) and not math.isfinite(hp[name]):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         object.__setattr__(self, "hyperparameters", hp)
 
 

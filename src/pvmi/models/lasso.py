@@ -25,6 +25,8 @@ reach ``lam`` within ``MAX_STEPS_PER_FEATURE`` steps per feature.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import CollinearDesignError, check
@@ -51,8 +53,8 @@ class LassoRegressor:
     @classmethod
     def fit(cls, inputs: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> "LassoRegressor":
         lam = check("lam", lam, float)
-        if lam < 0:
-            raise ValueError(f"penalty must be non-negative, got {lam}")
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"lam must be non-negative and finite, got {lam}")
         scaler, xs, c = _standardize(inputs, targets)
         gram = xs.T @ xs / xs.shape[0]
         usable = np.ptp(inputs, axis=0) > 0

@@ -6,25 +6,33 @@ of full-batch Adam steps (learning rate 1e-3, beta1 0.9, beta2 0.999,
 eps 1e-8). Weights are drawn from seeded He-style Gaussians so a given
 (seed, data) pair always trains to the same parameters.
 
-A fit allocates its arrays once, in a :class:`_Workspace`: one flat buffer
-each for the parameters, the gradients, the two Adam moments and two
-scratch vectors, with a view per parameter array, and the activation and
-ReLU-mask buffers of the training rows (the deltas reuse the activation
-buffers). Every step writes into them in place. The operations and their operand order are those of the textbook
-update, so an in-place step gives the bits of one that allocates:
+A fit trains in float32 and returns its parameters as float64; ``predict``
+(through :func:`forward`) runs in float64 on them.
 
-* forward: ``z = x @ w + b`` per layer (``matmul(..., out=)``, then the
-  bias), ``a = maximum(z, 0)`` and the mask ``a > 0``;
-* backward: ``dout = (2/n) * err``; ``dw = a.T @ d``, ``db = d.sum(axis=0)``;
-  ``da2 = dout * w3.T``, a broadcast product where the textbook has the
-  outer product ``dout @ w3.T`` (the two differ only in the sign of a zero,
-  and every reader of the deltas sums from +0.0); ``dz = da * mask``;
+A fit allocates its arrays once, in a :class:`_Workspace` of one dtype. Its
+flat parameter buffer holds each layer's bias folded into the layer's
+weight matrix as a last row, ``[w1; b1]``, ``[w2; b2]`` and ``[w3; b3]``,
+with a named view of every weight and bias; the gradients and the two Adam
+moments have flat buffers of the same layout. The inputs and both
+activation buffers carry a trailing column of ones, so each bias add is
+part of a matmul and each bias gradient part of its weight gradient. The
+pre-activations and the deltas share a plain buffer per layer, so every
+matmul reads and writes arrays laid out as an allocating loop's would be
+(BLAS may round a strided operand differently). Every step writes in place:
+
+* forward: ``z = [a_prev, 1] @ [w; b]``, ``a = maximum(z, 0)`` and the mask
+  ``z > 0`` per hidden layer; the residual is ``[a2, 1] @ [w3; b3] - y``;
+* backward: ``dout = (2/n) * err``; ``[dw; db] = [a_prev, 1].T @ d`` per
+  layer; ``da2 = dout * w3.T``, a broadcast product where the textbook has
+  the outer product ``dout @ w3.T`` (the two differ only in the sign of a
+  zero, and every reader of the deltas sums from +0.0); ``dz = da * mask``;
 * Adam, over the flat buffers: ``m = b1*m + (1-b1)*g``,
-  ``v = b2*v + ((1-b2)*g)*g``, ``p = p - lr*m_hat / (sqrt(v_hat) + eps)``.
+  ``v = b2*v + ((1-b2)*g)*g``, and, with the bias corrections taken out of
+  the arrays, ``p = p - (lr/(1-b1^t)) * m / (sqrt(v) * (1/sqrt(1-b2^t)) + eps)``.
 
-``loss_and_grads`` runs the same gradient code on a fresh workspace and is
-exposed separately so the gradients can be audited against finite
-differences.
+A fit does not compute the loss. ``loss_and_grads`` runs the same
+workspace code in float64 and returns the loss and every gradient, so the
+gradients can be audited against finite differences.
 """
 
 from __future__ import annotations
@@ -41,14 +49,17 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """One view of ``flat`` per parameter array, in ``PARAM_NAMES`` order."""
-    views, start = {}, 0
-    for name in PARAM_NAMES:
-        size = math.prod(shapes[name])
-        views[name] = flat[start:start + size].reshape(shapes[name])
-        start += size
-    return views
+def _folded(flat: np.ndarray, n_in: int, hidden: tuple[int, int]):
+    """The blocks ``[w1; b1]``, ``[w2; b2]``, ``[w3; b3]`` of ``flat``, and a
+    view of each weight and bias by name, in ``PARAM_NAMES`` order."""
+    h1, h2 = hidden
+    blocks, named, start = [], {}, 0
+    for layer, (rows, cols) in enumerate(((n_in + 1, h1), (h1 + 1, h2), (h2 + 1, 1)), 1):
+        block = flat[start:start + rows * cols].reshape(rows, cols)
+        named[f"w{layer}"], named[f"b{layer}"] = block[:-1], block[-1]
+        blocks.append(block)
+        start += rows * cols
+    return blocks, named
 
 
 def init_params(seed: int, n_in: int, hidden: tuple[int, int]) -> dict[str, np.ndarray]:
@@ -73,52 +84,62 @@ def forward(params: dict[str, np.ndarray], xs: np.ndarray) -> np.ndarray:
     return (a2 @ params["w3"]).ravel() + params["b3"][0]
 
 
+def _with_ones(n: int, cols: int, dtype) -> np.ndarray:
+    """An (n, cols + 1) buffer whose last column is ones."""
+    buf = np.empty((n, cols + 1), dtype)
+    buf[:, -1] = 1.0
+    return buf
+
+
 class _Workspace:
-    """Every array a fit on ``n`` rows writes, allocated once. The deltas
-    overwrite the activations once those have been used."""
+    """Every array a fit on the rows ``xs`` writes, allocated once in
+    ``dtype``. The deltas overwrite the pre-activations once those have
+    been used."""
 
-    def __init__(self, params: dict[str, np.ndarray], n: int):
-        shapes = {name: params[name].shape for name in PARAM_NAMES}
-        self.flat = np.concatenate([params[name].ravel() for name in PARAM_NAMES])
-        self.grad_flat, self.m, self.v, self.tmp, self.den = np.zeros((5, self.flat.size))
-        self.params = _views(self.flat, shapes)
-        self.grads = _views(self.grad_flat, shapes)
-        h1, h2 = shapes["w2"]
-        self.a1, self.mask1 = np.empty((n, h1)), np.empty((n, h1), dtype=bool)
-        self.a2, self.mask2 = np.empty((n, h2)), np.empty((n, h2), dtype=bool)
-        self.out = np.empty((n, 1))
+    def __init__(self, params: dict[str, np.ndarray], xs: np.ndarray, dtype):
+        n, n_in = xs.shape
+        hidden = h1, h2 = params["w2"].shape
+        size = (n_in + 1) * h1 + (h1 + 1) * h2 + h2 + 1
+        self.flat, self.grad_flat, self.m, self.v, self.tmp, self.den = np.zeros((6, size), dtype)
+        self.blocks, self.params = _folded(self.flat, n_in, hidden)
+        self.grad_blocks, self.grads = _folded(self.grad_flat, n_in, hidden)
+        for name in PARAM_NAMES:
+            self.params[name][...] = params[name]
+        self.xs = _with_ones(n, n_in, dtype)
+        self.xs[:, :-1] = xs
+        self.z1, self.a1 = np.empty((n, h1), dtype), _with_ones(n, h1, dtype)
+        self.z2, self.a2 = np.empty((n, h2), dtype), _with_ones(n, h2, dtype)
+        self.mask1, self.mask2 = np.empty((n, h1), bool), np.empty((n, h2), bool)
+        self.out = np.empty((n, 1), dtype)
 
-    def gradients(self, xs: np.ndarray, y: np.ndarray) -> float:
-        """Fill ``grads`` with the gradient of the mean squared error at
-        ``params``, and return that error."""
-        p, g, a1, a2, out = self.params, self.grads, self.a1, self.a2, self.out
-        np.matmul(xs, p["w1"], out=a1)
-        a1 += p["b1"]
-        np.maximum(a1, 0.0, out=a1)
-        np.greater(a1, 0.0, out=self.mask1)
-        np.matmul(a1, p["w2"], out=a2)
-        a2 += p["b2"]
-        np.maximum(a2, 0.0, out=a2)
-        np.greater(a2, 0.0, out=self.mask2)
-        np.matmul(a2, p["w3"], out=out)
-        err = out[:, 0]
-        err += p["b3"][0]
+    def residuals(self, y: np.ndarray) -> np.ndarray:
+        """Run the forward pass at ``params`` and return the residuals
+        against ``y``, a view that :meth:`backward` overwrites."""
+        w1, w2, w3 = self.blocks
+        z1 = np.matmul(self.xs, w1, out=self.z1)
+        np.maximum(z1, 0.0, out=self.a1[:, :-1])
+        np.greater(z1, 0.0, out=self.mask1)
+        z2 = np.matmul(self.a1, w2, out=self.z2)
+        np.maximum(z2, 0.0, out=self.a2[:, :-1])
+        np.greater(z2, 0.0, out=self.mask2)
+        np.matmul(self.a2, w3, out=self.out)
+        err = self.out[:, 0]
         err -= y
-        n = xs.shape[0]
-        loss = float(err @ err / n)
+        return err
 
-        dout = np.multiply(2.0 / n, out, out=out)
-        np.matmul(a2.T, dout, out=g["w3"])
-        np.sum(dout, axis=0, out=g["b3"])
-        d2 = np.multiply(dout, p["w3"].T, out=a2)
+    def backward(self) -> None:
+        """Fill ``grads`` with the gradient of the mean squared error from
+        the residuals :meth:`residuals` left."""
+        _, w2, w3 = self.blocks
+        g1, g2, g3 = self.grad_blocks
+        dout = np.multiply(2.0 / self.out.shape[0], self.out, out=self.out)
+        np.matmul(self.a2.T, dout, out=g3)
+        d2 = np.multiply(dout, w3[:-1].T, out=self.z2)
         d2 *= self.mask2
-        np.matmul(a1.T, d2, out=g["w2"])
-        np.sum(d2, axis=0, out=g["b2"])
-        d1 = np.matmul(d2, p["w2"].T, out=a1)
+        np.matmul(self.a1.T, d2, out=g2)
+        d1 = np.matmul(d2, w2[:-1].T, out=self.z1)
         d1 *= self.mask1
-        np.matmul(xs.T, d1, out=g["w1"])
-        np.sum(d1, axis=0, out=g["b1"])
-        return loss
+        np.matmul(self.xs.T, d1, out=g1)
 
     def adam_step(self, step: int, learning_rate: float) -> None:
         """One Adam update of every parameter from ``grads``."""
@@ -129,19 +150,22 @@ class _Workspace:
         np.multiply(1.0 - _BETA2, g, out=tmp)
         tmp *= g
         v += tmp
-        np.divide(v, 1.0 - _BETA2 ** step, out=den)  # v_hat
-        np.sqrt(den, out=den)
+        np.sqrt(v, out=den)
+        den *= 1.0 / math.sqrt(1.0 - _BETA2 ** step)
         den += _ADAM_EPS
-        np.divide(m, 1.0 - _BETA1 ** step, out=tmp)  # m_hat
-        tmp *= learning_rate
+        np.multiply(m, learning_rate / (1.0 - _BETA1 ** step), out=tmp)
         tmp /= den
         self.flat -= tmp
 
 
 def loss_and_grads(params, xs, y):
-    """Mean squared error and its gradient for every parameter array."""
-    ws = _Workspace(params, xs.shape[0])
-    return ws.gradients(xs, y), ws.grads
+    """Mean squared error and its gradient for every parameter array, in
+    float64."""
+    ws = _Workspace(params, xs, np.float64)
+    err = ws.residuals(y)
+    loss = float(err @ err / xs.shape[0])
+    ws.backward()
+    return loss, ws.grads
 
 
 class MLPRegressor:
@@ -168,15 +192,17 @@ class MLPRegressor:
         if not 0.0 < learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         scaler = FeatureScaler.fit(inputs)
-        xs = scaler.transform(inputs)
+        n_in = inputs.shape[1]
         y_mean = targets.mean()
-        yc = targets - y_mean
+        yc = (targets - y_mean).astype(np.float32)
 
-        ws = _Workspace(init_params(seed, xs.shape[1], hidden), xs.shape[0])
+        ws = _Workspace(init_params(seed, n_in, hidden), scaler.transform(inputs), np.float32)
         for step in range(1, iterations + 1):
-            ws.gradients(xs, yc)
+            ws.residuals(yc)
+            ws.backward()
             ws.adam_step(step, learning_rate)
-        return cls(scaler, ws.params, y_mean, hidden)
+        _, params = _folded(ws.flat.astype(np.float64), n_in, hidden)
+        return cls(scaler, params, y_mean, hidden)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """The network's forecast of each query row; a NaN or infinite entry

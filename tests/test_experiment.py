@@ -47,7 +47,7 @@ from pvmi.experiment import (
 )
 from pvmi.features import WINDOW_HOURS
 from pvmi.intervals import INTERVAL_FAMILIES
-from pvmi.pipeline import Completions, Pipeline
+from pvmi.pipeline import SETUPS, Completions, Pipeline
 from tests.conftest import make_series
 
 KNN2 = ModelConfig("knn", {"k": 2})
@@ -394,6 +394,35 @@ def test_rerun_is_byte_identical(run_dir, tmp_path):
     run(small_config(), again)
     assert (again / "summary.json").read_bytes() == (out / "summary.json").read_bytes()
     assert (again / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+
+
+def test_the_mlp_hands_float64_to_every_reader_of_its_float32_training(tmp_path):
+    # the fit trains in float32; a float32 value that reached the pooled
+    # moments would break the pooling identity to 1e-12 and write cell CSV
+    # fields that are not the repr of a double
+    mlp = {"hidden": [8, 4], "iterations": 20}
+    train, test = split_chronological(generate(SynthSpec(days=8, seed=3)), test_len=72)
+    test, _ = inject_missing(test, MissingSpec("target-fraction", target_fraction=0.2,
+                                               block_len_hours=6, seed=2))
+    completions = Completions(train, test, fit_sampler(train, k=2))
+    pipeline = Pipeline(completions, RegressorSpec("mlp", mlp, seed=1))
+    model = pipeline.shared[0]
+    assert [p.dtype for p in model.params.values()] == [np.float64] * 6
+    assert model.predict(completions.test_single().inputs).dtype == np.float64
+    for setup in SETUPS:
+        pooled = pipeline.pool(setup, 2, seed=5)
+        for moment in (pooled.mean, pooled.within_var, pooled.between_var, pooled.total_var):
+            assert moment.dtype == np.float64, setup
+
+    run(small_config(model_configs=(ModelConfig("mlp", mlp),), setups=SETUPS), tmp_path)
+    files = sorted(tmp_path.glob("cells/*.csv"))
+    assert len(files) == 6
+    for path in files:
+        for line in path.read_text().splitlines()[1:]:
+            fields = line.split(",")
+            assert all(s == str(int(s)) for s in (fields[i] for i in (0, 2, 9)))
+            assert all(s == "" or repr(float(s)) == s
+                       for s in (fields[i] for i in (1, 3, 4, 5, 6, 7, 8)))
 
 
 def test_reaggregate_matches_original_summary(run_dir):

@@ -84,6 +84,17 @@ def test_non_finite_irradiance_is_rejected(bad):
         select_k(np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, bad, 2.0, 3.0]), [1, 2, 3])
 
 
+@pytest.mark.parametrize("n_irradiance, n_power", [(4, 3), (3, 4)])
+def test_misaligned_pairs_are_rejected(n_irradiance, n_power):
+    # select_k used to raise a bare IndexError (4 irradiances, 3 powers) or
+    # leave the extra power out and return 1 (3 irradiances, 4 powers)
+    irr, power = np.linspace(0.1, 0.4, n_irradiance), np.ones(n_power)
+    with pytest.raises(ValueError, match="aligned"):
+        ConditionalSampler(irr, power, 1)
+    with pytest.raises(ValueError, match="aligned"):
+        select_k(irr, power, [1])
+
+
 def test_neighbors_sorted_ascending():
     rng = np.random.default_rng(3)
     s = make_series(rng.uniform(0, 5, 40), rng.uniform(0, 1, 40))

@@ -1,5 +1,6 @@
 """Regressor families, shared scaling, and chronological tuning."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -131,6 +132,9 @@ def test_spec_rejects_unknown_hyperparameters(family, hp, key):
     ("lasso", {"lam": True}, "lam"),
     ("mlp", {"seed": -1}, "seed"),
     ("mlp", {"seed": True}, "seed"),
+    ("mlp", {"learning_rate": float("nan")}, "learning_rate"),
+    ("lasso", {"lam": float("nan")}, "lam"),
+    ("lasso", {"lam": float("inf")}, "lam"),
 ])
 def test_spec_rejects_a_value_of_the_wrong_type(rng, family, hp, key):
     # each used to run truncated (k 2.5 as 2, hidden [4.9, 3] as (4, 3)) or
@@ -755,43 +759,54 @@ def test_mlp_seed_controls_initialization(rng):
     assert not np.array_equal(a.predict(probe), c.predict(probe))
 
 
-# The training loop the in-place workspace replaced: it allocates every
-# activation, gradient and Adam moment afresh at each step. Kept as the
-# reference oracle for the parameters a fit trains to.
+# The fit's training loop as an allocating oracle: the same folded layout
+# (each bias the last row of its layer's weight block, the inputs and the
+# activations with a trailing column of ones), in float32 as a fit trains,
+# with every activation, gradient and Adam moment made afresh at each step,
+# and the textbook outer product dout @ w3.T for the output layer's delta.
+# The gradient oracle runs in the dtype of the arrays it is given.
 
 
-def _grads_oracle(params, xs, y):
+def _fold(params, dtype):
+    """The blocks [w1; b1], [w2; b2], [w3; b3] of ``params`` in ``dtype``."""
+    return [np.vstack([params[f"w{i}"], params[f"b{i}"][None]]).astype(dtype)
+            for i in (1, 2, 3)]
+
+
+def _unfold(blocks):
+    return {name: value for i, block in enumerate(blocks, 1)
+            for name, value in ((f"w{i}", block[:-1]), (f"b{i}", block[-1]))}
+
+
+def _grads_oracle(blocks, xs, y):
     n = xs.shape[0]
-    z1 = xs @ params["w1"] + params["b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params["w2"] + params["b2"]
-    a2 = np.maximum(z2, 0.0)
-    err = (a2 @ params["w3"]).ravel() + params["b3"][0] - y
+    ones = np.ones((n, 1), xs.dtype)
+    x1 = np.hstack([xs, ones])
+    z1 = x1 @ blocks[0]
+    a1 = np.hstack([np.maximum(z1, 0.0), ones])
+    z2 = a1 @ blocks[1]
+    a2 = np.hstack([np.maximum(z2, 0.0), ones])
+    err = (a2 @ blocks[2]).ravel() - y
     dout = (2.0 / n) * err[:, None]
-    dz2 = (dout @ params["w3"].T) * (z2 > 0.0)
-    dz1 = (dz2 @ params["w2"].T) * (z1 > 0.0)
-    return {"w1": xs.T @ dz1, "b1": dz1.sum(axis=0), "w2": a1.T @ dz2,
-            "b2": dz2.sum(axis=0), "w3": a2.T @ dout, "b3": dout.sum(axis=0)}
+    dz2 = (dout @ blocks[2][:-1].T) * (z2 > 0.0)
+    dz1 = (dz2 @ blocks[1][:-1].T) * (z1 > 0.0)
+    return [x1.T @ dz1, a1.T @ dz2, a2.T @ dout]
 
 
 def _fit_params_oracle(inputs, targets, hidden, learning_rate, iterations, seed):
-    from pvmi.models.mlp import PARAM_NAMES
-
-    xs = FeatureScaler.fit(inputs).transform(inputs)
-    yc = targets - targets.mean()
-    params = init_params(seed, xs.shape[1], hidden)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
+    xs = FeatureScaler.fit(inputs).transform(inputs).astype(np.float32)
+    yc = (targets - targets.mean()).astype(np.float32)
+    blocks = _fold(init_params(seed, xs.shape[1], hidden), np.float32)
+    m = [np.zeros_like(b) for b in blocks]
+    v = [np.zeros_like(b) for b in blocks]
     for step in range(1, iterations + 1):
-        grads = _grads_oracle(params, xs, yc)
-        for key in PARAM_NAMES:
-            g = grads[key]
-            m[key] = 0.9 * m[key] + (1.0 - 0.9) * g
-            v[key] = 0.999 * v[key] + (1.0 - 0.999) * g * g
-            m_hat = m[key] / (1.0 - 0.9 ** step)
-            v_hat = v[key] / (1.0 - 0.999 ** step)
-            params[key] = params[key] - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-    return params
+        grads = _grads_oracle(blocks, xs, yc)
+        for i, g in enumerate(grads):
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+            den = np.sqrt(v[i]) * (1.0 / math.sqrt(1.0 - 0.999 ** step)) + 1e-8
+            blocks[i] = blocks[i] - (learning_rate / (1.0 - 0.9 ** step)) * m[i] / den
+    return _unfold(blocks)
 
 
 def _assert_same_bits(a, b):
@@ -825,7 +840,7 @@ def test_mlp_fit_equals_the_allocating_oracle_bit_for_bit(case):
                              iterations=iterations, seed=seed)
     want = _fit_params_oracle(x, y, hidden, lr, iterations, seed)
     for name, value in want.items():
-        _assert_same_bits(model.params[name], value)
+        _assert_same_bits(model.params[name], value.astype(np.float64))
 
 
 @pytest.mark.threaded_blas
@@ -838,7 +853,7 @@ def test_mlp_fit_equals_the_oracle_at_the_edges(rng, n, n_in, hidden, iterations
     model = MLPRegressor.fit(x, y, hidden=hidden, iterations=iterations, seed=4)
     want = _fit_params_oracle(x, y, hidden, 1e-3, iterations, 4)
     for name, value in want.items():
-        _assert_same_bits(model.params[name], value)
+        _assert_same_bits(model.params[name], value.astype(np.float64))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -851,7 +866,7 @@ def test_mlp_gradients_keep_the_oracles_signed_zeros(n):
     params["b1"][:] = -1.0
     loss, grads = loss_and_grads(params, x, np.zeros(n))
     assert loss == 0.0
-    want = _grads_oracle(params, x, np.zeros(n))
+    want = _unfold(_grads_oracle(_fold(params, np.float64), x, np.zeros(n)))
     for name, value in want.items():
         _assert_same_bits(grads[name], value)
 
