@@ -6,7 +6,7 @@ about the fine-grained category can catch one base class.
 
 One rule types every config value (:func:`check`, driven by the declared
 annotations in :func:`check_fields`): an ``int`` field takes an integer, a
-``float`` field any real number, a ``str`` field a string; as in JSON, a bool
+``float`` field any finite number, a ``str`` field a string; as in JSON, a bool
 is never a number and a float never an integer. A numpy scalar is stored as
 the Python number it holds, and a Python ``int`` stays an ``int``, so every
 config echoes to the same JSON.
@@ -14,6 +14,7 @@ config echoes to the same JSON.
 
 import functools
 import numbers
+import sys
 import typing
 from dataclasses import fields
 
@@ -67,8 +68,9 @@ _type_hints = functools.cache(typing.get_type_hints)
 def check(name: str, value, kind, low=None):
     """``value`` of field ``name`` as the plain Python value of ``kind``:
     ``int``, ``float`` or ``str``, or a tuple of kinds for a list of that many
-    integers. Raises ``ValueError`` naming the field if it is not one, or if
-    it is below ``low`` when one is given."""
+    integers. Raises ``ValueError`` naming the field if it is not one, if a
+    number is NaN or beyond the range of a double, or if it is below ``low``
+    when one is given."""
     if isinstance(kind, tuple):
         plain = ([_plain(v, k) for v, k in zip(value, kind)]
                  if isinstance(value, (list, tuple)) and len(value) == len(kind) else [None])
@@ -76,6 +78,8 @@ def check(name: str, value, kind, low=None):
             raise ValueError(f"{name} must be a list of {len(kind)} integers, got {value!r}")
         return type(value)(plain)
     plain = _plain(value, kind)
+    if kind is float and plain is not None and not abs(plain) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     if plain is None or (low is not None and plain < low):
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be {_KINDS[kind]}{bound}, got {value!r}")

@@ -111,7 +111,7 @@ class ModelConfig:
             if not self.grid:
                 raise ValueError("grid must contain at least one candidate")
 
-        def checked(hp: dict) -> dict:  # rejects unknown keys and mistyped values
+        def checked(hp: dict) -> dict:  # rejects unknown keys and bad values
             return models.RegressorSpec(self.family, hp).hyperparameters
 
         if not tuned:

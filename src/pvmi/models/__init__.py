@@ -17,9 +17,11 @@ input and standardizing it internally:
 ``fit``/``residual_variance`` are the family-independent entry points, and
 each fitted model's ``predict`` forecasts a batch of input rows;
 ``tune_chronological`` picks hyperparameters on expanding-window splits.
-A family's hyperparameters are the keyword arguments of its ``fit``
-classmethod, whose signature also holds their defaults; a default's type is
-the type its value must have. ``fit`` does not scan its input: a
+A family's hyperparameters are the keyword arguments of its
+``hyperparameters`` staticmethod, whose signature holds their defaults and
+whose body checks their types and ranges. Its ``fit`` and
+:class:`RegressorSpec` both run it; only kNN's ``k <= n`` waits for the
+fit's data. ``fit`` does not scan its input: a
 :class:`~pvmi.features.SupervisedDataset` is finite by construction.
 
 ``residual_variance`` is the in-sample estimate. The pipeline takes it as the
@@ -30,13 +32,12 @@ count each row as its own neighbour.
 from __future__ import annotations
 
 import inspect
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import check, check_fields
+from ..errors import check_fields
 from ..features import SupervisedDataset
 from .knn import KNNRegressor
 from .lasso import LassoRegressor, lambda_max
@@ -76,10 +77,10 @@ __all__ = [
 class RegressorSpec:
     """A model family plus everything needed to refit it deterministically.
 
-    ``hyperparameters`` is a mapping that may only name keyword arguments of
-    the family's ``fit``, each with a value of its default's type (a tuple
-    default takes a list of as many integers), and a real value must be
-    finite; anything else raises ``ValueError``.
+    ``hyperparameters`` is a mapping that may only name hyperparameters of
+    the family, each with a value its ``hyperparameters`` rule accepts;
+    anything else raises ``ValueError``. The given names are stored, as the
+    values the rule returns.
     """
 
     family: str
@@ -93,22 +94,17 @@ class RegressorSpec:
         if not isinstance(self.hyperparameters, Mapping):
             raise ValueError("hyperparameters must be a mapping of names to values, "
                              f"got {self.hyperparameters!r}")
-        hp = dict(self.hyperparameters)
-        params = inspect.signature(_REGRESSORS[self.family].fit).parameters
-        known = set(params) - {"inputs", "targets", "seed"}
-        unknown = sorted(set(hp) - known)
+        rule = _REGRESSORS[self.family].hyperparameters
+        known = set(inspect.signature(rule).parameters)
+        unknown = sorted(set(self.hyperparameters) - known)
         if unknown:
             raise ValueError(
                 f"unknown {self.family} hyperparameter(s) {unknown}, "
                 f"expected some of {sorted(known)}"
             )
-        for name, value in hp.items():
-            default = params[name].default
-            hp[name] = check(name, value, tuple(map(type, default))
-                             if isinstance(default, tuple) else type(default))
-            if isinstance(hp[name], float) and not math.isfinite(hp[name]):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        object.__setattr__(self, "hyperparameters", hp)
+        checked = rule(**self.hyperparameters)
+        object.__setattr__(self, "hyperparameters",
+                           {name: checked[name] for name in self.hyperparameters})
 
 
 def fit(spec: RegressorSpec, data: SupervisedDataset) -> TrainedModel:

@@ -122,9 +122,6 @@ class KNNRegressor:
     def __init__(self, scaler: FeatureScaler, inputs_scaled: np.ndarray,
                  targets: np.ndarray, k: int):
         n, p = inputs_scaled.shape
-        k = check("k", k, int)
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
         self.scaler = scaler
         self._x = np.ascontiguousarray(inputs_scaled, dtype=float)
         x_sq = _squared_norms(self._x)
@@ -144,8 +141,16 @@ class KNNRegressor:
         self._y = targets
         self.k = k
 
+    @staticmethod
+    def hyperparameters(k: int = 8) -> dict:
+        """``k``, checked: an integer >= 1 (the fit also needs k <= n)."""
+        return {"k": check("k", k, int, 1)}
+
     @classmethod
-    def fit(cls, inputs: np.ndarray, targets: np.ndarray, k: int = 8) -> "KNNRegressor":
+    def fit(cls, inputs: np.ndarray, targets: np.ndarray, **hyperparameters) -> "KNNRegressor":
+        k, n = cls.hyperparameters(**hyperparameters)["k"], inputs.shape[0]
+        if k > n:
+            raise ValueError(f"k must lie in [1, {n}], got {k}")
         scaler = FeatureScaler.fit(inputs)
         return cls(scaler, scaler.transform(inputs), targets.copy(), k)
 

@@ -25,8 +25,6 @@ reach ``lam`` within ``MAX_STEPS_PER_FEATURE`` steps per feature.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import CollinearDesignError, check
@@ -50,11 +48,17 @@ class LassoRegressor:
         self.converged = True  # the path reaches lam or raises
         self.n_sweeps = int(n_sweeps)  # path steps
 
-    @classmethod
-    def fit(cls, inputs: np.ndarray, targets: np.ndarray, lam: float = 0.0) -> "LassoRegressor":
+    @staticmethod
+    def hyperparameters(lam: float = 0.0) -> dict:
+        """The penalty ``lam``, checked: a non-negative number."""
         lam = check("lam", lam, float)
-        if not 0.0 <= lam < math.inf:
+        if lam < 0:
             raise ValueError(f"lam must be non-negative and finite, got {lam}")
+        return {"lam": lam}
+
+    @classmethod
+    def fit(cls, inputs: np.ndarray, targets: np.ndarray, **hyperparameters) -> "LassoRegressor":
+        lam = cls.hyperparameters(**hyperparameters)["lam"]
         scaler, xs, c = _standardize(inputs, targets)
         gram = xs.T @ xs / xs.shape[0]
         usable = np.ptp(inputs, axis=0) > 0

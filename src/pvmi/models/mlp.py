@@ -178,19 +178,25 @@ class MLPRegressor:
         self.target_mean = float(target_mean)
         self.hidden = tuple(hidden)
 
-    @classmethod
-    def fit(cls, inputs: np.ndarray, targets: np.ndarray,
-            hidden: tuple[int, int] = (100, 50),
-            learning_rate: float = 1e-3,
-            iterations: int = 1000,
-            seed: int = 0) -> "MLPRegressor":
+    @staticmethod
+    def hyperparameters(hidden: tuple[int, int] = (100, 50), learning_rate: float = 1e-3,
+                        iterations: int = 1000) -> dict:
+        """The hyperparameters, checked: two positive layer widths, a positive
+        learning rate and at least one Adam step."""
         hidden = check("hidden", hidden, (int, int))
-        learning_rate = check("learning_rate", learning_rate, float)
-        iterations, seed = check("iterations", iterations, int, 1), check("seed", seed, int, 0)
         if min(hidden) < 1:
             raise ValueError(f"hidden must be two positive widths, got {hidden}")
-        if not 0.0 < learning_rate < math.inf:
+        learning_rate = check("learning_rate", learning_rate, float)
+        if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+        return {"hidden": hidden, "learning_rate": learning_rate,
+                "iterations": check("iterations", iterations, int, 1)}
+
+    @classmethod
+    def fit(cls, inputs: np.ndarray, targets: np.ndarray, *, seed: int = 0,
+            **hyperparameters) -> "MLPRegressor":
+        hidden, learning_rate, iterations = cls.hyperparameters(**hyperparameters).values()
+        seed = check("seed", seed, int, 0)
         scaler = FeatureScaler.fit(inputs)
         n_in = inputs.shape[1]
         y_mean = targets.mean()

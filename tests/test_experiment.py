@@ -647,6 +647,26 @@ def test_a_run_whose_split_fails_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, field", [
+    ({"family": "knn", "hyperparameters": {"k": 0}}, "k"),
+    ({"family": "mlp", "hyperparameters": {"learning_rate": 0.0}}, "learning_rate"),
+])
+def test_a_run_whose_hyperparameter_is_out_of_range_leaves_no_output(tmp_path, model, field):
+    # each made the output directory, then failed every cell with ExperimentError
+    cfg = write_json(tmp_path / "cfg.json", {**MINIMAL_DOC, "models": [model]})
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        main(["run", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_an_out_of_range_grid_entry_fails_in_the_config():
+    # it failed only inside tuning, after the sampler fit
+    grid = [{"lam": 0.1}, {"lam": -1}]
+    with pytest.raises(ValueError, match="^lam must be non-negative"):
+        config_from_json({**MINIMAL_DOC, "models": [{"family": "lasso", "grid": grid}]})
+
+
 def test_summary_and_manifest_are_both_serialised_before_either_is_written(
         tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "_config_echo", lambda config: {"unencodable": object()})
@@ -968,16 +988,37 @@ def test_cli_rejects_a_config_value_that_is_not_an_integer(tmp_path, command, do
     # TypeError
     kind = {"noise_scale": "a number", "peak_irradiance": "a number", "alpha": "a number",
             "target_fraction": "a number", "output_dir": "a string"}.get(field, "an integer")
-    cfg = write_json(tmp_path / "cfg.json", doc)
-    out = tmp_path / "out.csv"
-    args = ["--config", str(cfg), "--out", str(out)]
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {kind}"):
+        main_on_config(tmp_path, command, doc)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("synth", {"days": 10, "efficiency": math.nan}, "efficiency"),
+    ("synth", {"days": 10, "noise_scale": math.inf}, "noise_scale"),
+    ("inject", {**EXPLICIT, "target_fraction": math.nan}, "target_fraction"),
+    ("run", {**MINIMAL_DOC, "alpha": math.nan}, "alpha"),
+    ("run", {**MINIMAL_DOC, "models": [{"family": "lasso", "hyperparameters": {"lam": 10**400}}]},
+     "lam"),
+])
+def test_cli_rejects_a_config_value_that_is_not_finite(tmp_path, command, doc, field):
+    # synth efficiency NaN wrote a record without one power value, and lam
+    # 10**400 failed every cell with a bare OverflowError
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        main_on_config(tmp_path, command, doc)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def main_on_config(tmp_path, command, doc):
+    """Run ``pvmi <command>`` with ``doc`` as its config and ``tmp_path /
+    "out.csv"`` as its output, on a 3-day record where it takes one."""
+    args = ["--config", str(write_json(tmp_path / "cfg.json", doc)),
+            "--out", str(tmp_path / "out.csv")]
     if command in ("inject", "impute"):
         data = tmp_path / "data.csv"
         write_csv(generate(SynthSpec(days=3, seed=4)), data)
         args.insert(0, str(data))
-    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {kind}"):
-        main([command, *args])
-    assert not out.exists()
+    main([command, *args])
 
 
 @pytest.mark.parametrize("command, doc, bad", [

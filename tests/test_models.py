@@ -135,12 +135,20 @@ def test_spec_rejects_unknown_hyperparameters(family, hp, key):
     ("mlp", {"learning_rate": float("nan")}, "learning_rate"),
     ("lasso", {"lam": float("nan")}, "lam"),
     ("lasso", {"lam": float("inf")}, "lam"),
+    ("lasso", {"lam": 10**400}, "lam"),
+    ("lasso", {"lam": -1.0}, "lam"),
+    ("mlp", {"learning_rate": 0.0}, "learning_rate"),
+    ("mlp", {"hidden": [0, 3]}, "hidden"),
+    ("mlp", {"iterations": 0}, "iterations"),
+    ("knn", {"k": 0}, "k"),
 ])
 def test_spec_rejects_a_value_of_the_wrong_type(rng, family, hp, key):
     # each used to run truncated (k 2.5 as 2, hidden [4.9, 3] as (4, 3)) or
     # fail late inside the fit (seed 1.5 with a bare TypeError), both in the
-    # spec and in the family's own fit; a "seed" entry here is the spec's own
-    # field, not a hyperparameter, and the MLP fit's seed argument
+    # spec and in the family's own fit; the last six built a spec that only
+    # the fit rejected (lam 10**400 with a bare OverflowError); a "seed" entry
+    # here is the spec's own field, not a hyperparameter, and the MLP fit's
+    # seed argument
     hp = dict(hp)
     seed = hp.pop("seed", 0)
     with pytest.raises(ValueError, match=f"^{key} must be "):
@@ -173,6 +181,52 @@ def test_spec_takes_the_types_of_the_fit_defaults():
                            iterations=np.int64(2), seed=np.uint8(1))
     assert mlp.hidden == (4, 3) and type(mlp.hidden[0]) is int
     assert LassoRegressor.fit(x, y, lam=np.float64(0.1)).lam == 0.1
+
+
+EDGE_VALUES = (0, 1, -1, 0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+               True, False, np.int64(0), np.int32(-1), np.uint8(1), np.float32(1.0),
+               np.float64(-1.0), np.float64(5e-324), np.float32(np.nan), np.float64(-np.inf),
+               np.bool_(True))
+
+
+def edges(*more):
+    """A value at the edge of a hyperparameter's range, or one of ``more``."""
+    return st.sampled_from(EDGE_VALUES + more)
+
+
+# k stays at most the 6 training rows, MLP widths and iterations at most 5
+WIDTHS = edges(2, 5)
+HYPERPARAMETER_EDGES = {
+    "knn": {"k": edges(2, 6)},
+    "lasso": {"lam": edges(0.5, 10**400)},
+    "mlp": {"hidden": st.one_of(WIDTHS, st.lists(WIDTHS, max_size=3), st.tuples(WIDTHS, WIDTHS)),
+            "learning_rate": edges(0.5, 10**400), "iterations": edges(5)},
+}
+
+
+@pytest.mark.parametrize("family", sorted(HYPERPARAMETER_EDGES))
+@settings(deadline=None)
+@given(data=st.data())
+def test_spec_builds_exactly_when_the_fit_accepts(family, data):
+    # lam -1.0, learning_rate 0.0, hidden [0, 3], iterations 0 and k 0 built
+    # a spec that the family's fit then rejected
+    drawn = HYPERPARAMETER_EDGES[family]
+    if family == "knn":  # its default k is above the 6 rows
+        hp = data.draw(st.fixed_dictionaries(drawn))
+    else:
+        hp = data.draw(st.fixed_dictionaries({}, optional=drawn))
+    rng = np.random.default_rng(0)
+    regressor = {"knn": KNNRegressor, "lasso": LassoRegressor, "mlp": MLPRegressor}[family]
+
+    def accepts(build) -> bool:
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    assert accepts(lambda: RegressorSpec(family, hp)) == accepts(
+        lambda: regressor.fit(rng.normal(size=(6, 2)), rng.normal(size=6), **hp))
 
 
 def test_fit_defaults_come_from_the_family(rng):
@@ -358,7 +412,7 @@ def test_knn_invariant_to_feature_rescaling(rng):
 
 def test_knn_rejects_bad_k(rng):
     data = make_dataset(rng, 10)
-    with pytest.raises(ValueError, match="k must lie"):
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
         KNNRegressor.fit(data.inputs, data.targets, k=0)
     with pytest.raises(ValueError, match="k must lie"):
         KNNRegressor.fit(data.inputs, data.targets, k=11)
