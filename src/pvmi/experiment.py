@@ -202,7 +202,7 @@ def from_json(cls, where: str, doc: dict):
 def _check_keys(where: str, doc: dict, known: set, required: set = frozenset()) -> None:
     if not isinstance(doc, Mapping):
         raise ValueError(f"{where} must be a mapping, got {doc!r}")
-    unknown = sorted(set(doc) - known)
+    unknown = sorted(set(doc) - known, key=str)
     if unknown:
         raise ValueError(f"unknown {where} key(s) {unknown}")
     missing = sorted(required - set(doc))

@@ -96,7 +96,7 @@ class RegressorSpec:
                              f"got {self.hyperparameters!r}")
         rule = _REGRESSORS[self.family].hyperparameters
         known = set(inspect.signature(rule).parameters)
-        unknown = sorted(set(self.hyperparameters) - known)
+        unknown = sorted(set(self.hyperparameters) - known, key=str)
         if unknown:
             raise ValueError(
                 f"unknown {self.family} hyperparameter(s) {unknown}, "

@@ -89,7 +89,9 @@ the origin is at distance ``rho`` from ``z_q`` whatever its angle.
 A query's neighbours therefore depend only on its own row and the training
 rows: not on its batch, the chunk size, the BLAS kernel or its thread
 count. Queries are taken in angle order, in chunks of consecutive rows
-that read the hull of their ranges. A chunk has the least cost per row,
+that read the hull of their ranges. Step 1 runs chunk by chunk, then one
+pass over every row gives its ``E``, threshold and window; steps 3 and 4
+run in chunks cut afresh from the windows. A chunk has the least cost per row,
 ``_CHUNK_COST`` for the chunk plus its width, among those of at most
 ``_CHUNK_ROWS`` rows that fit ``_CHUNK_BYTES`` of float32 values (or one
 row); on a short record, one chunk reading every column is the cheapest.
@@ -201,18 +203,32 @@ class KNNRegressor:
     def _nearest(self, q: np.ndarray, k: int):
         """Yield ``(rows, idx)``: the k nearest training rows of standardized
         query rows ``q[rows]``, as ascending row indices."""
-        m, n = q.shape[0], self._x.shape[0]
-        theta, rho, radius = self._project(q, _squared_norms(q))
+        (m, p), n = q.shape, self._x.shape[0]
+        q_sq = _squared_norms(q)
+        theta, rho, radius = self._project(q, q_sq)
         perm = np.argsort(theta, kind="stable")
-        theta, rho, radius = theta[perm], rho[perm], radius[perm]
+        theta, rho, radius, q_sq = theta[perm], rho[perm], radius[perm], q_sq[perm]
         buf = np.empty(max(_CHUNK_BYTES // 4, n), dtype=np.float32)
-        thr, lo, hi = self._thresholds(q, k, perm, theta, rho, radius, buf)
+        w = min(n, max(8 * k, n // 24))  # step 1, in chunks
+        start = np.searchsorted(self._theta, theta) - w // 2
+        # allocated before step 2's temporaries, so that the space they free stays one block
+        tau, thr = np.empty(m, dtype=np.float32), np.empty(m, dtype=np.float32)
+        lo, hi = np.empty((2, m), dtype=np.intp)
+        for i, j in _chunks(start, start + w, n):
+            f = self._products(_augmented(q[perm[i:j]], q_sq[i:j]),
+                               int(start[i]), int(start[j - 1]) + w, buf)[0]
+            tau[i:j] = _kth_bound(f, k)
+        with np.errstate(over="ignore", invalid="ignore"):  # step 2, every row at once
+            err = (2 * p + 10) * (2.0 ** -24 * (q_sq + self._x_sq_max) + 2.0 ** -126)
+            thr[:] = np.minimum(tau + 2.0 * err, _F32_MAX)
+            np.nextafter(thr, np.float32(np.inf), out=thr)
+        lo[:], hi[:] = self._window(theta, rho, radius, tau + err)
+        del theta, rho, radius, start, tau, err  # unread by steps 3-4, which hold the peak
         keep = np.empty(buf.size, dtype=bool)
-        i = 0
-        while i < m:
-            j = _chunk_end(lo, hi, i, n)
+        for i, j in _chunks(lo, hi, n):
             chunk = q[perm[i:j]]
-            f, a = self._products(_augmented(chunk)[0], int(lo[i:j].min()), int(hi[i:j].max()), buf)
+            f, a = self._products(_augmented(chunk, q_sq[i:j]),
+                                  int(lo[i:j].min()), int(hi[i:j].max()), buf)
             kept = keep[:f.size].reshape(f.shape)
             np.greater(f, thr[i:j, None], out=kept)
             np.logical_not(kept, out=kept)
@@ -220,32 +236,6 @@ class KNNRegressor:
             col += a
             col[col >= n] -= n
             yield perm[i:j], self._refine(chunk, k, row, col)
-            i = j
-
-    def _thresholds(self, q, k, perm, theta, rho, radius, buf):
-        """Steps 1 and 2 for the query rows ``q[perm]``, of angles ``theta``,
-        and k neighbours: the filter threshold ``tau + 2E``, rounded up to
-        float32, and the window ``lo:hi``."""
-        m, p = q.shape
-        n = self._x.shape[0]
-        w = min(n, max(8 * k, n // 24))
-        start = np.searchsorted(self._theta, theta) - w // 2
-        stop = start + w
-        thr = np.empty(m, dtype=np.float32)
-        lo, hi = np.empty(m, dtype=np.intp), np.empty(m, dtype=np.intp)
-        i = 0
-        while i < m:
-            j = _chunk_end(start, stop, i, n)
-            qa, q_sq = _augmented(q[perm[i:j]])
-            f = self._products(qa, int(start[i]), int(stop[j - 1]), buf)[0]
-            tau = _kth_bound(f, k)
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = (2 * p + 10) * (2.0 ** -24 * (q_sq + self._x_sq_max) + 2.0 ** -126)
-                t32 = np.minimum(tau + 2.0 * err, _F32_MAX).astype(np.float32)
-                thr[i:j] = np.nextafter(t32, np.float32(np.inf))
-            lo[i:j], hi[i:j] = self._window(theta[i:j], rho[i:j], radius[i:j], tau + err)
-            i = j
-        return thr, lo, hi
 
     def _window(self, theta, rho, radius, bound):
         """Step 2 for queries of angles ``theta``, radii ``rho``, norm bounds
@@ -312,6 +302,15 @@ class KNNRegressor:
         return np.sort(idx, axis=1)
 
 
+def _chunks(lo: np.ndarray, hi: np.ndarray, n: int):
+    """Yield each chunk ``i, j`` of the query rows that :func:`_chunk_end` cuts."""
+    i = 0
+    while i < lo.size:
+        j = _chunk_end(lo, hi, i, n)
+        yield i, j
+        i = j
+
+
 def _chunk_end(lo: np.ndarray, hi: np.ndarray, i: int, n: int) -> int:
     """The end of the chunk of query rows that starts at row ``i``, whose
     columns are the hull of the rows' ranges ``lo:hi``: the one of at most
@@ -334,10 +333,9 @@ def _squared_norms(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _augmented(chunk: np.ndarray):
-    """Float32 query rows ``[-2q, |q|², 1]`` and the float64 ``|q|²``."""
+def _augmented(chunk: np.ndarray, q_sq: np.ndarray) -> np.ndarray:
+    """Float32 query rows ``[-2q, |q|², 1]`` of rows ``chunk`` of squared norms ``q_sq``."""
     b, p = chunk.shape
-    q_sq = (chunk ** 2).sum(axis=1)
     qa = np.empty((b, p + 2), dtype=np.float32)
     # a query past float32 range overflows to +inf or NaN: kept
     with np.errstate(over="ignore", invalid="ignore"):
@@ -345,7 +343,7 @@ def _augmented(chunk: np.ndarray):
         qa[:, :p] *= -2.0
         qa[:, p] = q_sq
     qa[:, p + 1] = 1.0
-    return qa, q_sq
+    return qa
 
 
 def _kth_bound(f: np.ndarray, k: int) -> np.ndarray:

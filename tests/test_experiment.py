@@ -214,6 +214,12 @@ def test_config_from_json_rejects_unknown_data_keys():
         config_from_json(doc)
 
 
+def test_unknown_keys_of_mixed_types_are_named_in_the_usual_error():
+    # a mapping read from Python, not JSON, can hold non-string keys
+    with pytest.raises(ValueError, match=r"unknown synth config key\(s\) \[1, 'x'\]"):
+        experiment.from_json(SynthSpec, "synth config", {1: 2, "x": 3})
+
+
 GAPS = {"mode": "target-fraction", "target_fraction": 0.2, "seed": 1}
 EXPLICIT = {"mode": "explicit-blocks", "blocks": [[30, 2]]}
 

@@ -115,6 +115,11 @@ def test_spec_rejects_unknown_hyperparameters(family, hp, key):
         RegressorSpec(family, hp)
 
 
+def test_spec_names_unknown_hyperparameters_of_mixed_types():
+    with pytest.raises(ValueError, match=r"unknown knn hyperparameter\(s\) \[1, 'x'\]"):
+        RegressorSpec("knn", {1: 2, "x": 3})
+
+
 @pytest.mark.parametrize("family, hp, key", [
     ("knn", {"k": 2.5}, "k"),
     ("knn", {"k": True}, "k"),
@@ -480,10 +485,13 @@ def test_knn_results_do_not_depend_on_the_chunk_size(pv_windows, monkeypatch):
     model = KNNRegressor.fit(x[:300], y[:300], k=4)
     queries = np.vstack([x[300:], x[:20]])  # 20 rows that are training rows
     expected = model.predict(queries), model.loo_residual_variance()
-    for budget in (4 * 300, 4 * 300 * 300):  # one row, every row
-        monkeypatch.setattr(knn, "_CHUNK_BYTES", budget)
-        assert np.array_equal(model.predict(queries), expected[0])
-        assert model.loo_residual_variance() == expected[1]
+    # one row, every row; then chunks priced by width alone, and by their count
+    for name, value in (("_CHUNK_BYTES", 4 * 300), ("_CHUNK_BYTES", 4 * 300 * 300),
+                        ("_CHUNK_COST", 1), ("_CHUNK_COST", 1 << 30)):
+        with monkeypatch.context() as patch:
+            patch.setattr(knn, name, value)
+            assert np.array_equal(model.predict(queries), expected[0])
+            assert model.loo_residual_variance() == expected[1]
 
 
 @pytest.mark.threaded_blas

@@ -253,6 +253,19 @@ def test_gap_free_windows_have_exactly_zero_between_variance(gappy_pair, family,
             assert np.any(between[~free] > 0.0)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_a_gap_free_test_series_predicts_empty_batches(complete_pair, gappy_pair, family):
+    # no test window holds a gap, so every setup-1/2 round predicts a (0, 48)
+    # batch and keeps the shared model's forecasts
+    train, test = gappy_pair[0], complete_pair[1]
+    pipeline = Pipeline(Completions(train, test, fit_sampler(train)), FAMILY_SPECS[family])
+    assert not pipeline.completions.gap_rows.any()
+    assert pipeline.shared[0].predict(np.empty((0, 48))).shape == (0,)
+    s1, s2 = pipeline.pool(1, 1, 7), pipeline.pool(2, 3, 7)
+    assert np.array_equal(s2.mean, s1.mean)
+    assert np.array_equal(s2.between_var, np.zeros(len(test) - 24))
+
+
 @settings(max_examples=50, deadline=None)
 @given(family=st.sampled_from(("knn", "lasso")),
        requests=st.lists(st.tuples(st.sampled_from(SETUPS), st.integers(1, 5),
